@@ -9,7 +9,7 @@ RACE_PKGS := ./internal/parallel ./internal/tensor ./internal/ag ./internal/nn .
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all build vet vet-custom staticcheck vulncheck lint fmt-check test race bench bench-smoke bench-infer bench-roofline calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint ci
+.PHONY: all build vet vet-custom staticcheck vulncheck lint fmt-check test race bench bench-smoke bench-infer bench-roofline calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint bench-module ci
 
 all: build
 
@@ -140,6 +140,12 @@ fuzz-smoke:
 	$(GO) test ./internal/mtmlf -run=NONE -fuzz=FuzzLoadModel -fuzztime=10s
 	$(GO) test ./internal/corpus -run=NONE -fuzz=FuzzCorpusOpen -fuzztime=10s
 
+# The benchmark harness is its own module (benchmark/go.mod), so
+# build/vet/test above never compile it; this vets and tests it
+# against the current tree, catching breaks in the API it calls.
+bench-module:
+	$(GO) -C benchmark vet ./... && $(GO) -C benchmark test ./...
+
 # Every package must open with a godoc package comment ("// Package x"
 # for libraries, "// Command x" for binaries) — the operator docs in
 # docs/OPERATIONS.md lean on godoc being readable.
@@ -150,4 +156,4 @@ docs-lint:
 			{ echo "docs-lint: $$d has no package comment"; bad=1; }; \
 	done; [ "$$bad" = 0 ]
 
-ci: build vet vet-custom fmt-check test race bench-smoke bench-infer calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint
+ci: build vet vet-custom fmt-check test race bench-smoke bench-infer calib-smoke serve-smoke corpus-smoke mla-smoke load-smoke resume-smoke dist-smoke fuzz-smoke docs-lint bench-module

@@ -149,15 +149,32 @@ func All() []*Analyzer {
 }
 
 // calleeObject resolves the called function or method of call, or nil
-// for dynamic/unresolvable calls.
+// for dynamic/unresolvable calls. An explicitly instantiated generic
+// call (f[T](), pkg.F[K, V]()) resolves to the generic function.
 func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fn := ast.Unparen(call.Fun).(type) {
+	switch fn := calleeExpr(call).(type) {
 	case *ast.Ident:
 		return info.Uses[fn]
 	case *ast.SelectorExpr:
 		return info.Uses[fn.Sel]
 	}
 	return nil
+}
+
+// calleeExpr returns call's function expression with parentheses and
+// explicit type-argument lists stripped.
+func calleeExpr(call *ast.CallExpr) ast.Expr {
+	fn := ast.Unparen(call.Fun)
+	for {
+		switch ix := fn.(type) {
+		case *ast.IndexExpr:
+			fn = ast.Unparen(ix.X)
+		case *ast.IndexListExpr:
+			fn = ast.Unparen(ix.X)
+		default:
+			return fn
+		}
+	}
 }
 
 // isPkgFunc reports whether obj is the package-scope function pkgPath.name.

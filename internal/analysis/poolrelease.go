@@ -180,7 +180,7 @@ func collectOwnershipUses(pass *Pass, fn *ast.FuncDecl, obj types.Object, releas
 				return true
 			}
 		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && rel.Signature().Recv() != nil {
+		if sel, ok := calleeExpr(call).(*ast.SelectorExpr); ok && rel.Signature().Recv() != nil {
 			return mentions(sel.X)
 		}
 		return false
@@ -254,7 +254,7 @@ func collectOwnershipUses(pass *Pass, fn *ast.FuncDecl, obj types.Object, releas
 
 // callName renders the callee expression for diagnostics ("ag.AcquireEval").
 func callName(call *ast.CallExpr) string {
-	switch fn := ast.Unparen(call.Fun).(type) {
+	switch fn := calleeExpr(call).(type) {
 	case *ast.Ident:
 		return fn.Name
 	case *ast.SelectorExpr:

@@ -126,3 +126,50 @@ func deferredF32(fail bool, work func(*EvalF32) int) int {
 	}
 	return work(e)
 }
+
+// Session stands in for a generic session type (one type per element
+// type): an explicitly instantiated acquire is tracked like a plain one.
+type Session[E any] struct{ live int }
+
+func AcquireSession[E any]() *Session[E]  { return &Session[E]{} }
+func ReleaseSession[E any](s *Session[E]) { s.live = 0 }
+
+// Flagged: generic session acquired through an instantiation, never
+// released.
+func leakGeneric[E any](work func(*Session[E]) int) int {
+	s := AcquireSession[E]() // want `result of AcquireSession is never released with ReleaseSession`
+	return work(s)
+}
+
+// Flagged: instantiated with a concrete type argument, leaks on the
+// error path.
+func leakGenericOnErrPath(fail bool, work func(*Session[float32]) int) int {
+	s := AcquireSession[float32]() // want `not released with ReleaseSession on the return path`
+	if fail {
+		return -1
+	}
+	n := work(s)
+	ReleaseSession(s)
+	return n
+}
+
+// Clean: generic acquire with a deferred, explicitly instantiated
+// release.
+func deferredGeneric[E any](work func(*Session[E]) int) int {
+	s := AcquireSession[E]()
+	defer ReleaseSession[E](s)
+	return work(s)
+}
+
+// Pair stands in for a session with two type parameters (an index
+// list instantiation).
+type Pair[K, V any] struct{ live int }
+
+func AcquirePair[K, V any]() *Pair[K, V]  { return &Pair[K, V]{} }
+func ReleasePair[K, V any](p *Pair[K, V]) { p.live = 0 }
+
+// Flagged: index-list instantiation, never released.
+func leakPair(work func(*Pair[int, string]) int) int {
+	p := AcquirePair[int, string]() // want `result of AcquirePair is never released with ReleasePair`
+	return work(p)
+}
