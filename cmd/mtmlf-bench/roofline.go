@@ -19,19 +19,11 @@ import (
 // fill writes a deterministic, well-conditioned pattern (values in
 // roughly [-1, 1], no denormals) so every precision multiplies the
 // same magnitudes.
-func fillF64(d []float64) {
+func fill[E tensor.Float](d []E) {
 	s := uint64(0x9e3779b97f4a7c15)
 	for i := range d {
 		s = s*6364136223846793005 + 1442695040888963407
-		d[i] = float64(int64(s>>33))/float64(1<<30) - 1
-	}
-}
-
-func fillF32(d []float32) {
-	s := uint64(0x9e3779b97f4a7c15)
-	for i := range d {
-		s = s*6364136223846793005 + 1442695040888963407
-		d[i] = float32(float64(int64(s>>33))/float64(1<<30) - 1)
+		d[i] = E(float64(int64(s>>33))/float64(1<<30) - 1)
 	}
 }
 
@@ -64,42 +56,11 @@ func addRoofline(r *benchjson.Report) error {
 			}
 			flops := int64(2) * int64(n) * int64(n) * int64(n)
 
-			a64, b64, out64 := tensor.New(n, n), tensor.New(n, n), tensor.New(n, n)
-			fillF64(a64.Data)
-			fillF64(b64.Data)
-			r.MeasureKernel(fmt.Sprintf("roofline/matmul/%d/f64/%s", n, wtag), "f64",
-				flops, int64(3*8*n*n), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						clear(out64.Data)
-						tensor.MatMulInto(a64, b64, out64)
-					}
-				})
-			r.MeasureKernel(fmt.Sprintf("roofline/transb/%d/f64/%s", n, wtag), "f64",
-				flops, int64(3*8*n*n), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						tensor.MatMulTransBInto(a64, b64, out64)
-					}
-				})
-
-			a32, b32, out32 := tensor.NewF32(n, n), tensor.NewF32(n, n), tensor.NewF32(n, n)
-			fillF32(a32.Data)
-			fillF32(b32.Data)
-			r.MeasureKernel(fmt.Sprintf("roofline/matmul/%d/f32/%s", n, wtag), "f32",
-				flops, int64(3*4*n*n), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						clear(out32.Data)
-						tensor.MatMulF32Into(a32, b32, out32)
-					}
-				})
-			r.MeasureKernel(fmt.Sprintf("roofline/transb/%d/f32/%s", n, wtag), "f32",
-				flops, int64(3*4*n*n), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						tensor.MatMulTransBF32Into(a32, b32, out32)
-					}
-				})
+			_, b64, _ := measureMatMulTier[float64](r, "f64", wtag, n)
+			a32, _, out32 := measureMatMulTier[float32](r, "f32", wtag, n)
 
 			w8 := tensor.QuantizeLinear(b64)
-			bias := tensor.NewF32(1, n)
+			bias := tensor.NewDense[float32](1, n)
 			qbuf := make([]int8, n*n)
 			// int8 streams the quantized weights (1 B/element) plus f32
 			// activations and output; the dynamic row quantization is
@@ -119,48 +80,17 @@ func addRoofline(r *benchjson.Report) error {
 	}
 	tensor.SetParallelism(1)
 
-	// Row-wise epilogue kernels at the serving activation shape.
+	// Row-wise epilogue kernels at the serving activation shape, with
+	// nominal flops/element for relative placement.
 	const en = 256
-	eflops := map[string]int64{ // nominal flops/element, for relative placement
-		"addbias":   1,
-		"softmax":   5,
-		"layernorm": 8,
-		"gelu":      10,
+	x64, x32 := newEpilogueOperands[float64](en), newEpilogueOperands[float32](en)
+	for _, k := range []struct {
+		name  string
+		flops int64
+	}{{"addbias", 1}, {"softmax", 5}, {"layernorm", 8}, {"gelu", 10}} {
+		measureEpilogue(r, k.name, "f64", k.flops, x64)
+		measureEpilogue(r, k.name, "f32", k.flops, x32)
 	}
-	a64, g64, out64 := tensor.New(en, en), tensor.New(1, en), tensor.New(en, en)
-	fillF64(a64.Data)
-	fillF64(g64.Data)
-	beta64 := tensor.New(1, en)
-	a32, g32, out32 := tensor.NewF32(en, en), tensor.NewF32(1, en), tensor.NewF32(en, en)
-	fillF32(a32.Data)
-	fillF32(g32.Data)
-	beta32 := tensor.NewF32(1, en)
-	ew := func(kernel string, f64body, f32body func()) {
-		r.MeasureKernel(fmt.Sprintf("roofline/%s/%d/f64/w1", kernel, en), "f64",
-			eflops[kernel]*en*en, int64(2*8*en*en), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					f64body()
-				}
-			})
-		r.MeasureKernel(fmt.Sprintf("roofline/%s/%d/f32/w1", kernel, en), "f32",
-			eflops[kernel]*en*en, int64(2*4*en*en), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					f32body()
-				}
-			})
-	}
-	ew("addbias",
-		func() { tensor.AddBiasInto(a64, g64, out64) },
-		func() { tensor.AddBiasF32Into(a32, g32, out32) })
-	ew("softmax",
-		func() { tensor.SoftmaxRowsInto(a64, out64) },
-		func() { tensor.SoftmaxRowsF32Into(a32, out32) })
-	ew("layernorm",
-		func() { tensor.LayerNormRowsInto(a64, g64, beta64, 1e-5, out64) },
-		func() { tensor.LayerNormRowsF32Into(a32, g32, beta32, 1e-5, out32) })
-	ew("gelu",
-		func() { tensor.GELUInto(a64, out64) },
-		func() { tensor.GELUF32Into(a32, out32) })
 
 	// Resident model bytes per tier (capacity entries: DataBytesPerOp
 	// is the replica size, no arithmetic measured). The model is the
@@ -187,4 +117,70 @@ func addRoofline(r *benchjson.Report) error {
 		}
 	}
 	return nil
+}
+
+// measureMatMulTier measures the n×n matmul and transposed-B matmul at
+// element type E and returns the operands (the int8 entry reuses them).
+func measureMatMulTier[E tensor.Float](r *benchjson.Report, prec, wtag string, n int) (a, b, out *tensor.Dense[E]) {
+	flops := int64(2) * int64(n) * int64(n) * int64(n)
+	a, b, out = tensor.NewDense[E](n, n), tensor.NewDense[E](n, n), tensor.NewDense[E](n, n)
+	fill(a.Data)
+	fill(b.Data)
+	streamed := int64(3 * a.Bytes())
+	r.MeasureKernel(fmt.Sprintf("roofline/matmul/%d/%s/%s", n, prec, wtag), prec,
+		flops, streamed, func(bb *testing.B) {
+			for i := 0; i < bb.N; i++ {
+				clear(out.Data)
+				tensor.MatMulInto(a, b, out)
+			}
+		})
+	r.MeasureKernel(fmt.Sprintf("roofline/transb/%d/%s/%s", n, prec, wtag), prec,
+		flops, streamed, func(bb *testing.B) {
+			for i := 0; i < bb.N; i++ {
+				tensor.MatMulTransBInto(a, b, out)
+			}
+		})
+	return a, b, out
+}
+
+// epilogueOperands holds one tier's operands for the row-wise kernels.
+type epilogueOperands[E tensor.Float] struct {
+	a, g, beta, out *tensor.Dense[E]
+}
+
+func newEpilogueOperands[E tensor.Float](n int) *epilogueOperands[E] {
+	x := &epilogueOperands[E]{
+		a:    tensor.NewDense[E](n, n),
+		g:    tensor.NewDense[E](1, n),
+		beta: tensor.NewDense[E](1, n),
+		out:  tensor.NewDense[E](n, n),
+	}
+	fill(x.a.Data)
+	fill(x.g.Data)
+	return x
+}
+
+// measureEpilogue measures one row-wise kernel (flopsPerElem nominal
+// flops per element, for relative placement) serially at E.
+func measureEpilogue[E tensor.Float](r *benchjson.Report, kernel, prec string, flopsPerElem int64, x *epilogueOperands[E]) {
+	var body func()
+	switch kernel {
+	case "addbias":
+		body = func() { tensor.AddBiasInto(x.a, x.g, x.out) }
+	case "softmax":
+		body = func() { tensor.SoftmaxRowsInto(x.a, x.out) }
+	case "layernorm":
+		body = func() { tensor.LayerNormRowsInto(x.a, x.g, x.beta, 1e-5, x.out) }
+	case "gelu":
+		body = func() { tensor.GELUInto(x.a, x.out) }
+	default:
+		panic("roofline: unknown epilogue kernel " + kernel)
+	}
+	n := x.a.Rows()
+	r.MeasureKernel(fmt.Sprintf("roofline/%s/%d/%s/w1", kernel, n, prec), prec,
+		flopsPerElem*int64(n*n), int64(2*x.a.Bytes()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				body()
+			}
+		})
 }

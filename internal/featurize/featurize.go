@@ -13,6 +13,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/catalog"
@@ -77,6 +78,10 @@ type Featurizer struct {
 	Stats *stats.DBStats
 	Cfg   Config
 	Encs  map[string]*TableEncoder
+
+	// f64 is the lazily built float64 view (see view).
+	f64Once sync.Once
+	f64     *Lowered[float64]
 }
 
 // New builds a featurizer with freshly initialized encoders for every
@@ -223,26 +228,6 @@ func (f *Featurizer) EncodeTable(table string, filters []sqldb.Filter) *ag.Value
 	seq := ag.ConcatRows(rows...)
 	out := enc.Enc.Forward(seq, nil)
 	return ag.SliceRows(out, 0, 1)
-}
-
-// EncodeTableInfer is the no-grad twin of EncodeTable on the Eval
-// fast path: same kernels, no graph, pooled intermediates. Output is
-// bitwise identical to EncodeTable's forward result.
-func (f *Featurizer) EncodeTableInfer(e *ag.Eval, table string, filters []sqldb.Filter) *tensor.Tensor {
-	enc, ok := f.Encs[table]
-	if !ok {
-		panic(fmt.Sprintf("featurize: unknown table %q", table))
-	}
-	seq := enc.CLS.T
-	if len(filters) > 0 {
-		raw := e.Get(len(filters), f.Cfg.TokenWidth())
-		for i, flt := range filters {
-			copy(raw.Row(i), f.FilterToken(flt))
-		}
-		seq = e.ConcatRows(enc.CLS.T, enc.Proj.Infer(e, raw))
-	}
-	out := enc.Enc.Infer(e, seq, nil)
-	return e.RowsView(out, 0, 1)
 }
 
 // PredictLogCard runs the single-table CardEst head of Enc_i — its

@@ -70,7 +70,7 @@ func TestScoreSequenceFastMatchesGrad(t *testing.T) {
 // encoder, decoder memory, and heads (the satellite no-grad coverage).
 func TestRepresentInferMatchesGrad(t *testing.T) {
 	m, qs := tinySetup(t, 43, 3)
-	e := ag.NewEval()
+	e := ag.NewSession[float64]()
 	defer e.Reset()
 	for _, lq := range qs {
 		grad := m.Represent(lq.Q, lq.Plan)

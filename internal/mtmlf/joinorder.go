@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/nn"
@@ -31,6 +32,33 @@ type JoinOrder struct {
 	// previous timestamp" input).
 	PrevProj *nn.Linear
 	dim      int
+
+	// f64 is the lazily built float64 view of the decoder.
+	f64Once sync.Once
+	f64     *decoderView
+}
+
+// decoderView is Trans_JO's no-grad forward: the float64 view of the
+// decoder, PrevProj and start token, sharing JoinOrder's weights.
+// Every serving tier decodes on it.
+type decoderView struct {
+	dec      *nn.LoweredDecoder[float64]
+	prevProj *nn.LoweredLinear[float64]
+	start    *tensor.Tensor
+	dim      int
+}
+
+// view returns j's float64 view, built on first use and shared after.
+func (j *JoinOrder) view() *decoderView {
+	j.f64Once.Do(func() {
+		j.f64 = &decoderView{
+			dec:      nn.LowerDecoder[float64](j.Dec, nn.PrecisionF64),
+			prevProj: nn.LowerLinear[float64](j.PrevProj, nn.PrecisionF64),
+			start:    j.Start.T,
+			dim:      j.dim,
+		}
+	})
+	return j.f64
 }
 
 // NewJoinOrder builds the decoder.
@@ -99,28 +127,32 @@ func (j *JoinOrder) ScoreSequence(memory *ag.Value, seq []int) *ag.Value {
 	return total
 }
 
-// logitsInfer is the no-grad twin of Logits: one full-prefix forward
-// on the Eval fast path, bitwise identical to Logits' forward result.
-func (j *JoinOrder) logitsInfer(e *ag.Eval, mem *tensor.Tensor, prev []int) *tensor.Tensor {
+// logits is the no-grad form of Logits: one full-prefix forward,
+// bitwise identical to Logits' forward result.
+func (j *decoderView) logits(e *ag.Eval, mem *tensor.Tensor, prev []int) *tensor.Tensor {
 	var x *tensor.Tensor
 	if len(prev) == 0 {
-		x = j.Start.T
+		x = j.start
 	} else {
-		x = e.ConcatRows(j.Start.T, j.PrevProj.Infer(e, e.Gather(mem, prev)))
+		x = e.ConcatRows(j.start, j.prevProj.Infer(e, e.Gather(mem, prev)))
 	}
-	out := j.Dec.Infer(e, x, mem, nn.CausalMask(x.Rows()))
+	out := j.dec.Infer(e, x, mem, nn.CausalMask(x.Rows()))
 	scale := 1 / math.Sqrt(float64(j.dim))
 	return e.Scale(e.MatMulTransB(out, mem), scale)
 }
 
-// ScoreSequenceFast is the no-grad twin of ScoreSequence for serving
+// ScoreSequenceFast is the no-grad form of ScoreSequence for serving
 // and evaluation paths: it returns the same masked log-probability of
 // emitting seq, as a plain float, without building a graph.
 func (j *JoinOrder) ScoreSequenceFast(mem *tensor.Tensor, seq []int) float64 {
+	return j.view().scoreSequence(mem, seq)
+}
+
+func (j *decoderView) scoreSequence(mem *tensor.Tensor, seq []int) float64 {
 	e := ag.AcquireEval()
 	defer ag.ReleaseEval(e)
 	mTabs := mem.Rows()
-	logits := j.logitsInfer(e, mem, seq[:len(seq)-1])
+	logits := j.logits(e, mem, seq[:len(seq)-1])
 	var total float64
 	used := make([]bool, mTabs)
 	masked := e.Get(1, mTabs)
@@ -251,20 +283,24 @@ func (j *JoinOrder) BeamSearch(memory *ag.Value, q *sqldb.Query, k int, constrai
 type cachedBeam struct {
 	seq   []int
 	logp  float64
-	cache *nn.DecCache
+	cache *nn.DecCache[float64]
 }
 
 // BeamSearchTensor is BeamSearch over a raw memory tensor — the
 // entry point for the no-grad serving path, which has no ag.Value
 // wrapping the memory.
 func (j *JoinOrder) BeamSearchTensor(mem *tensor.Tensor, q *sqldb.Query, k int, constrained bool) []BeamSearchResult {
+	return j.view().beamSearch(mem, q, k, constrained)
+}
+
+func (j *decoderView) beamSearch(mem *tensor.Tensor, q *sqldb.Query, k int, constrained bool) []BeamSearchResult {
 	mTabs := mem.Rows()
 	adj := positionAdjacency(q)
 	e := ag.AcquireEval()
 	defer ag.ReleaseEval(e)
 	scale := 1 / math.Sqrt(float64(j.dim))
 
-	beams := []cachedBeam{{cache: j.Dec.NewCache(mem, mTabs)}}
+	beams := []cachedBeam{{cache: j.dec.NewCache(mem, mTabs)}}
 	type candidate struct {
 		parent int
 		pos    int
@@ -279,19 +315,19 @@ func (j *JoinOrder) BeamSearchTensor(mem *tensor.Tensor, q *sqldb.Query, k int, 
 		// per-step projections fuse into single kernel dispatches.
 		var x *tensor.Tensor
 		if step == 0 {
-			x = j.Start.T
+			x = j.start
 		} else {
 			lastPicks = lastPicks[:0]
 			for _, b := range beams {
 				lastPicks = append(lastPicks, b.seq[len(b.seq)-1])
 			}
-			x = j.PrevProj.Infer(e, e.Gather(mem, lastPicks))
+			x = j.prevProj.Infer(e, e.Gather(mem, lastPicks))
 		}
-		caches := make([]*nn.DecCache, len(beams))
+		caches := make([]*nn.DecCache[float64], len(beams))
 		for i := range beams {
 			caches[i] = beams[i].cache
 		}
-		out := j.Dec.StepBeams(e, x, caches)
+		out := j.dec.StepBeams(e, x, caches)
 		logits := e.Scale(e.MatMulTransB(out, mem), scale)
 
 		cands = cands[:0]

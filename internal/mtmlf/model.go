@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"mtmlf/internal/ag"
 	"mtmlf/internal/catalog"
@@ -138,6 +139,9 @@ func (s *Shared) Params() []*ag.Value {
 type Model struct {
 	Shared *Shared
 	Feat   *featurize.Featurizer
+
+	// f64 caches the float64 view F64 serves from.
+	f64 atomic.Pointer[Lowered[float64]]
 }
 
 // NewModel builds a fresh single-database model over an in-memory
@@ -255,51 +259,48 @@ func (m *Model) PredictLogCosts(rep *Representation) *ag.Value {
 	return m.Shared.CostHead.Forward(rep.S)
 }
 
-// EstimateNodeCards runs inference and returns per-node cardinality
-// estimates (exponentiated, clamped to >= 1). Served from the no-grad
-// fast path: numerically identical to the grad-tracked forward.
-func (m *Model) EstimateNodeCards(lq *workload.LabeledQuery) []float64 {
-	e := ag.AcquireEval()
-	defer ag.ReleaseEval(e)
-	rep := m.RepresentInfer(e, lq.Q, lq.Plan)
-	return ExpClamp(m.PredictLogCardsInfer(e, rep).Data)
+// The no-grad entry points below serve from m's float64 view (F64,
+// lower.go): numerically identical to the grad-tracked forward.
+
+// RepresentInfer runs the I→F→S dataflow on the no-grad path; see
+// Lowered.RepresentInfer.
+func (m *Model) RepresentInfer(e *ag.Eval, q *sqldb.Query, p *plan.Node) *InferRep[float64] {
+	return m.F64().RepresentInfer(e, q, p)
 }
 
-// EstimateNodeCosts runs inference and returns per-node cost estimates.
+// PredictLogCardsInfer returns the per-node log-cardinality
+// predictions on the no-grad path.
+func (m *Model) PredictLogCardsInfer(e *ag.Eval, rep *InferRep[float64]) *tensor.Tensor {
+	return m.F64().PredictLogCardsInfer(e, rep)
+}
+
+// PredictLogCostsInfer returns the per-node log-cost predictions on
+// the no-grad path.
+func (m *Model) PredictLogCostsInfer(e *ag.Eval, rep *InferRep[float64]) *tensor.Tensor {
+	return m.F64().PredictLogCostsInfer(e, rep)
+}
+
+// EstimateNodeCards returns per-node cardinality estimates
+// (exponentiated, clamped to >= 1).
+func (m *Model) EstimateNodeCards(lq *workload.LabeledQuery) []float64 {
+	return m.F64().EstimateNodeCards(lq)
+}
+
+// EstimateNodeCosts returns per-node cost estimates.
 func (m *Model) EstimateNodeCosts(lq *workload.LabeledQuery) []float64 {
-	e := ag.AcquireEval()
-	defer ag.ReleaseEval(e)
-	rep := m.RepresentInfer(e, lq.Q, lq.Plan)
-	return ExpClamp(m.PredictLogCostsInfer(e, rep).Data)
+	return m.F64().EstimateNodeCosts(lq)
 }
 
 // EstimateRoot returns the root cardinality and cost estimates in one
-// forward pass on the no-grad fast path.
+// forward pass.
 func (m *Model) EstimateRoot(lq *workload.LabeledQuery) (card, costv float64) {
-	e := ag.AcquireEval()
-	defer ag.ReleaseEval(e)
-	rep := m.RepresentInfer(e, lq.Q, lq.Plan)
-	cards := ExpClamp(m.PredictLogCardsInfer(e, rep).Data)
-	costs := ExpClamp(m.PredictLogCostsInfer(e, rep).Data)
-	return cards[len(cards)-1], costs[len(costs)-1]
+	return m.F64().EstimateRoot(lq)
 }
 
-// ExpClamp maps log-space head outputs to estimates: exponentiated
-// with the exponent clamped (an untrained model cannot overflow) and
-// floored at 1. Exported for the serving layer, whose fused
-// micro-batch path must clamp exactly like the serial estimators.
-func ExpClamp(logs []float64) []float64 {
-	out := make([]float64, len(logs))
-	for i, v := range logs {
-		// Clamp the exponent so an untrained model cannot overflow.
-		if v > 40 {
-			v = 40
-		}
-		e := math.Exp(v)
-		if e < 1 {
-			e = 1
-		}
-		out[i] = e
-	}
-	return out
+// InferJoinOrder predicts the join order for a query end to end on
+// the no-grad path: one Represent, then KV-cached constrained beam
+// search. This is what the experiment tables and CLIs serve from; it
+// returns the same order as Represent + JoinOrderFor.
+func (m *Model) InferJoinOrder(q *sqldb.Query, p *plan.Node) []string {
+	return m.F64().InferJoinOrder(q, p)
 }

@@ -10,6 +10,9 @@
 // the cross-attention keys/values of the (static) encoder memory,
 // computed once per query and shared by every beam.
 //
+// The caches and steps live on the lowered decoder (LoweredDecoder[E]);
+// Trans_JO decodes on its float64 view in every serving tier.
+//
 // Equivalence: the incremental step applies the same kernels in the
 // same order as the full forward's row t, and the full forward's
 // causal mask zeroes future positions *exactly* (exp(-1e9 + s − max)
@@ -29,30 +32,30 @@ import (
 // AttnKV is the growable self-attention K/V cache of one attention
 // block for one hypothesis: per head, the keys and values of every
 // token decoded so far, stored as [n, dh] matrices.
-type AttnKV struct {
+type AttnKV[E tensor.Float] struct {
 	dh int
 	// K and V hold one [n, dh] matrix per head. Their Data slices are
 	// append-grown; headers are reused across appends.
-	K, V []*tensor.Tensor
+	K, V []*tensor.Dense[E]
 }
 
 // NewAttnKV creates an empty cache for the given head count and head
 // width, with capacity for capTokens appends before reallocation.
-func NewAttnKV(heads, dh, capTokens int) *AttnKV {
-	c := &AttnKV{dh: dh, K: make([]*tensor.Tensor, heads), V: make([]*tensor.Tensor, heads)}
+func NewAttnKV[E tensor.Float](heads, dh, capTokens int) *AttnKV[E] {
+	c := &AttnKV[E]{dh: dh, K: make([]*tensor.Dense[E], heads), V: make([]*tensor.Dense[E], heads)}
 	for h := 0; h < heads; h++ {
-		c.K[h] = &tensor.Tensor{Data: make([]float64, 0, capTokens*dh), Shape: []int{0, dh}}
-		c.V[h] = &tensor.Tensor{Data: make([]float64, 0, capTokens*dh), Shape: []int{0, dh}}
+		c.K[h] = &tensor.Dense[E]{Data: make([]E, 0, capTokens*dh), Shape: []int{0, dh}}
+		c.V[h] = &tensor.Dense[E]{Data: make([]E, 0, capTokens*dh), Shape: []int{0, dh}}
 	}
 	return c
 }
 
 // Len returns the number of cached tokens.
-func (c *AttnKV) Len() int { return c.K[0].Shape[0] }
+func (c *AttnKV[E]) Len() int { return c.K[0].Shape[0] }
 
 // Append adds one token's key and value rows (each a dim-wide slice,
 // split per head).
-func (c *AttnKV) Append(kRow, vRow []float64) {
+func (c *AttnKV[E]) Append(kRow, vRow []E) {
 	for h := range c.K {
 		seg := kRow[h*c.dh : (h+1)*c.dh]
 		c.K[h].Data = append(c.K[h].Data, seg...)
@@ -66,8 +69,8 @@ func (c *AttnKV) Append(kRow, vRow []float64) {
 // Clone deep-copies the cache — the beam-fork operation. The copy
 // keeps the source's capacity so a forked beam does not reallocate on
 // its next append.
-func (c *AttnKV) Clone() *AttnKV {
-	out := &AttnKV{dh: c.dh, K: make([]*tensor.Tensor, len(c.K)), V: make([]*tensor.Tensor, len(c.V))}
+func (c *AttnKV[E]) Clone() *AttnKV[E] {
+	out := &AttnKV[E]{dh: c.dh, K: make([]*tensor.Dense[E], len(c.K)), V: make([]*tensor.Dense[E], len(c.V))}
 	for h := range c.K {
 		out.K[h] = cloneKV(c.K[h])
 		out.V[h] = cloneKV(c.V[h])
@@ -75,30 +78,28 @@ func (c *AttnKV) Clone() *AttnKV {
 	return out
 }
 
-func cloneKV(t *tensor.Tensor) *tensor.Tensor {
-	d := make([]float64, len(t.Data), cap(t.Data))
+func cloneKV[E tensor.Float](t *tensor.Dense[E]) *tensor.Dense[E] {
+	d := make([]E, len(t.Data), cap(t.Data))
 	copy(d, t.Data)
-	return &tensor.Tensor{Data: d, Shape: []int{t.Shape[0], t.Shape[1]}}
+	return &tensor.Dense[E]{Data: d, Shape: []int{t.Shape[0], t.Shape[1]}}
 }
 
 // CrossKV holds the precomputed per-head cross-attention keys and
 // values of one attention block over a fixed memory. It is immutable
 // after construction and safely shared by every beam of a search.
-type CrossKV struct {
-	K, V []*tensor.Tensor // per head, [memRows, dh]
+type CrossKV[E tensor.Float] struct {
+	K, V []*tensor.Dense[E] // per head, [memRows, dh]
 }
 
 // NewCrossKV projects the memory through the block's WK/WV once. The
 // arithmetic matches the full forward's K = WK(mem), V = WV(mem)
 // exactly (same kernels), so cached cross-attention is bitwise
 // identical to recomputing the projections every step.
-func (a *MultiHeadAttention) NewCrossKV(mem *tensor.Tensor) *CrossKV {
-	K := tensor.MatMul(mem, a.WK.W.T)
-	tensor.AddBiasInto(K, a.WK.B.T, K)
-	V := tensor.MatMul(mem, a.WV.W.T)
-	tensor.AddBiasInto(V, a.WV.B.T, V)
+func (a *LoweredAttention[E]) NewCrossKV(mem *tensor.Dense[E]) *CrossKV[E] {
+	K := project(mem, a.WK)
+	V := project(mem, a.WV)
 	dh := a.Dim / a.Heads
-	out := &CrossKV{K: make([]*tensor.Tensor, a.Heads), V: make([]*tensor.Tensor, a.Heads)}
+	out := &CrossKV[E]{K: make([]*tensor.Dense[E], a.Heads), V: make([]*tensor.Dense[E], a.Heads)}
 	for h := 0; h < a.Heads; h++ {
 		out.K[h] = sliceColsCopy(K, h*dh, (h+1)*dh)
 		out.V[h] = sliceColsCopy(V, h*dh, (h+1)*dh)
@@ -106,9 +107,18 @@ func (a *MultiHeadAttention) NewCrossKV(mem *tensor.Tensor) *CrossKV {
 	return out
 }
 
-func sliceColsCopy(t *tensor.Tensor, from, to int) *tensor.Tensor {
+// project returns x @ l.W + l.B in a fresh (unpooled) tensor: the
+// cross caches outlive any one session.
+func project[E tensor.Float](x *tensor.Dense[E], l *LoweredLinear[E]) *tensor.Dense[E] {
+	out := tensor.NewDense[E](x.Rows(), l.W.Cols())
+	tensor.MatMulInto(x, l.W, out)
+	tensor.AddBiasInto(out, l.B, out)
+	return out
+}
+
+func sliceColsCopy[E tensor.Float](t *tensor.Dense[E], from, to int) *tensor.Dense[E] {
 	m := t.Rows()
-	out := tensor.New(m, to-from)
+	out := tensor.NewDense[E](m, to-from)
 	for i := 0; i < m; i++ {
 		copy(out.Row(i), t.Row(i)[from:to])
 	}
@@ -118,29 +128,29 @@ func sliceColsCopy(t *tensor.Tensor, from, to int) *tensor.Tensor {
 // DecCache is the full decoding state of one hypothesis: per decoder
 // layer, an owned self-attention K/V cache and a shared cross-attention
 // K/V cache over the encoder memory.
-type DecCache struct {
-	Self  []*AttnKV  // per layer; owned, deep-copied on Clone
-	Cross []*CrossKV // per layer; immutable, shared across clones
+type DecCache[E tensor.Float] struct {
+	Self  []*AttnKV[E]  // per layer; owned, deep-copied on Clone
+	Cross []*CrossKV[E] // per layer; immutable, shared across clones
 }
 
 // NewCache precomputes the cross-attention K/V of every layer for the
 // given memory and returns an empty decoding cache with room for
 // capTokens tokens.
-func (d *Decoder) NewCache(mem *tensor.Tensor, capTokens int) *DecCache {
-	c := &DecCache{
-		Self:  make([]*AttnKV, len(d.Layers)),
-		Cross: make([]*CrossKV, len(d.Layers)),
+func (d *LoweredDecoder[E]) NewCache(mem *tensor.Dense[E], capTokens int) *DecCache[E] {
+	c := &DecCache[E]{
+		Self:  make([]*AttnKV[E], len(d.Layers)),
+		Cross: make([]*CrossKV[E], len(d.Layers)),
 	}
 	for i, l := range d.Layers {
 		heads := l.SelfAttn.Heads
-		c.Self[i] = NewAttnKV(heads, l.SelfAttn.Dim/heads, capTokens)
+		c.Self[i] = NewAttnKV[E](heads, l.SelfAttn.Dim/heads, capTokens)
 		c.Cross[i] = l.CrossAttn.NewCrossKV(mem)
 	}
 	return c
 }
 
 // Len returns the number of tokens decoded into the cache.
-func (c *DecCache) Len() int {
+func (c *DecCache[E]) Len() int {
 	if len(c.Self) == 0 {
 		return 0
 	}
@@ -149,8 +159,8 @@ func (c *DecCache) Len() int {
 
 // Clone forks the hypothesis: self caches are deep-copied, cross
 // caches are shared.
-func (c *DecCache) Clone() *DecCache {
-	out := &DecCache{Self: make([]*AttnKV, len(c.Self)), Cross: c.Cross}
+func (c *DecCache[E]) Clone() *DecCache[E] {
+	out := &DecCache[E]{Self: make([]*AttnKV[E], len(c.Self)), Cross: c.Cross}
 	for i, s := range c.Self {
 		out.Self[i] = s.Clone()
 	}
@@ -164,7 +174,7 @@ func (c *DecCache) Clone() *DecCache {
 // full forward does. The nb×heads tiny products run through the
 // batched kernels in single pool dispatches — that is what lets a
 // k-wide beam use more than one core per step.
-func (a *MultiHeadAttention) stepBeams(e *ag.Eval, x *tensor.Tensor, selves []*AttnKV, crosses []*CrossKV) *tensor.Tensor {
+func (a *LoweredAttention[E]) stepBeams(e *ag.Session[E], x *tensor.Dense[E], selves []*AttnKV[E], crosses []*CrossKV[E]) *tensor.Dense[E] {
 	nb := x.Rows()
 	dh := a.Dim / a.Heads
 	scale := 1 / math.Sqrt(float64(dh))
@@ -176,9 +186,9 @@ func (a *MultiHeadAttention) stepBeams(e *ag.Eval, x *tensor.Tensor, selves []*A
 			s.Append(K.Row(i), V.Row(i))
 		}
 	}
-	qs := make([]*tensor.Tensor, nb*a.Heads)
-	ks := make([]*tensor.Tensor, nb*a.Heads)
-	vs := make([]*tensor.Tensor, nb*a.Heads)
+	qs := make([]*tensor.Dense[E], nb*a.Heads)
+	ks := make([]*tensor.Dense[E], nb*a.Heads)
+	vs := make([]*tensor.Dense[E], nb*a.Heads)
 	for i := 0; i < nb; i++ {
 		for h := 0; h < a.Heads; h++ {
 			qs[i*a.Heads+h] = e.RowSeg(Q, i, h*dh, (h+1)*dh)
@@ -192,7 +202,7 @@ func (a *MultiHeadAttention) stepBeams(e *ag.Eval, x *tensor.Tensor, selves []*A
 		}
 	}
 	scores := e.MatMulTransBBatch(qs, ks)
-	attns := make([]*tensor.Tensor, len(scores))
+	attns := make([]*tensor.Dense[E], len(scores))
 	for i, s := range scores {
 		attns[i] = e.SoftmaxRows(e.Scale(s, scale))
 	}
@@ -207,30 +217,12 @@ func (a *MultiHeadAttention) stepBeams(e *ag.Eval, x *tensor.Tensor, selves []*A
 	return a.WO.Infer(e, out)
 }
 
-// ForwardStep advances causal self-attention by one token for a
-// single hypothesis: xNew is [1, dim], cache holds the previous
-// tokens' K/V and is extended in place.
-func (a *MultiHeadAttention) ForwardStep(e *ag.Eval, xNew *tensor.Tensor, cache *AttnKV) *tensor.Tensor {
-	return a.stepBeams(e, xNew, []*AttnKV{cache}, nil)
-}
-
-// CrossStep attends a single new token over precomputed memory K/V.
-func (a *MultiHeadAttention) CrossStep(e *ag.Eval, xNew *tensor.Tensor, cross *CrossKV) *tensor.Tensor {
-	return a.stepBeams(e, xNew, nil, []*CrossKV{cross})
-}
-
 // stepBeams advances the decoder block by one token for a batch of
-// hypotheses; see Decoder.StepBeams.
-func (l *DecoderLayer) stepBeams(e *ag.Eval, x *tensor.Tensor, selves []*AttnKV, crosses []*CrossKV) *tensor.Tensor {
+// hypotheses; see LoweredDecoder.StepBeams.
+func (l *LoweredDecoderLayer[E]) stepBeams(e *ag.Session[E], x *tensor.Dense[E], selves []*AttnKV[E], crosses []*CrossKV[E]) *tensor.Dense[E] {
 	x = l.LN1.Infer(e, e.Add(x, l.SelfAttn.stepBeams(e, x, selves, nil)))
 	x = l.LN2.Infer(e, e.Add(x, l.CrossAttn.stepBeams(e, x, nil, crosses)))
 	return l.LN3.Infer(e, e.Add(x, l.FF.Infer(e, x)))
-}
-
-// ForwardStep advances the decoder block by one token for a single
-// hypothesis.
-func (l *DecoderLayer) ForwardStep(e *ag.Eval, xNew *tensor.Tensor, self *AttnKV, cross *CrossKV) *tensor.Tensor {
-	return l.stepBeams(e, xNew, []*AttnKV{self}, []*CrossKV{cross})
 }
 
 // StepBeams advances the decoder stack by one token for a batch of
@@ -238,12 +230,12 @@ func (l *DecoderLayer) ForwardStep(e *ag.Eval, xNew *tensor.Tensor, self *AttnKV
 // and the result row i is the decoder output for that hypothesis's
 // new position — bitwise identical to row (cache.Len()) of a full
 // forward over the whole prefix.
-func (d *Decoder) StepBeams(e *ag.Eval, x *tensor.Tensor, caches []*DecCache) *tensor.Tensor {
+func (d *LoweredDecoder[E]) StepBeams(e *ag.Session[E], x *tensor.Dense[E], caches []*DecCache[E]) *tensor.Dense[E] {
 	if x.Rows() != len(caches) {
 		panic("nn: Decoder.StepBeams row/cache count mismatch")
 	}
-	selves := make([]*AttnKV, len(caches))
-	crosses := make([]*CrossKV, len(caches))
+	selves := make([]*AttnKV[E], len(caches))
+	crosses := make([]*CrossKV[E], len(caches))
 	for li := range d.Layers {
 		for i, c := range caches {
 			selves[i] = c.Self[li]
@@ -256,6 +248,6 @@ func (d *Decoder) StepBeams(e *ag.Eval, x *tensor.Tensor, caches []*DecCache) *t
 
 // ForwardStep advances the decoder stack by one token for a single
 // hypothesis.
-func (d *Decoder) ForwardStep(e *ag.Eval, xNew *tensor.Tensor, cache *DecCache) *tensor.Tensor {
-	return d.StepBeams(e, xNew, []*DecCache{cache})
+func (d *LoweredDecoder[E]) ForwardStep(e *ag.Session[E], xNew *tensor.Dense[E], cache *DecCache[E]) *tensor.Dense[E] {
+	return d.StepBeams(e, xNew, []*DecCache[E]{cache})
 }

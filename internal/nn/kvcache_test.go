@@ -9,50 +9,6 @@ import (
 	"mtmlf/internal/tensor"
 )
 
-// TestInferBitwiseMatchesForward asserts the no-grad Infer paths of
-// every layer produce bitwise identical outputs (eps = 0) to the
-// grad-tracked Forward paths.
-func TestInferBitwiseMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	const dim, heads, seq, memLen = 24, 4, 6, 5
-	x := tensor.Rand(rng, seq, dim, 1)
-	mem := tensor.Rand(rng, memLen, dim, 1)
-	xv, memv := ag.Const(x), ag.Const(mem)
-	causal := CausalMask(seq)
-
-	e := ag.NewEval()
-	defer e.Reset()
-
-	check := func(name string, got *tensor.Tensor, want *ag.Value) {
-		t.Helper()
-		if !tensor.Equal(want.T, got, 0) {
-			t.Fatalf("%s: Infer output differs from Forward", name)
-		}
-	}
-
-	lin := NewLinear(rng, dim, dim)
-	check("Linear", lin.Infer(e, x), lin.Forward(xv))
-
-	mlp := NewMLP(rng, ActGELU, dim, 4*dim, dim)
-	check("MLP", mlp.Infer(e, x), mlp.Forward(xv))
-
-	ln := NewLayerNorm(dim)
-	check("LayerNorm", ln.Infer(e, x), ln.Forward(xv))
-
-	emb := NewEmbedding(rng, 10, dim)
-	check("Embedding", emb.Infer(e, []int{4, 1, 4}), emb.Forward([]int{4, 1, 4}))
-
-	mha := NewMultiHeadAttention(rng, dim, heads)
-	check("MHA", mha.Infer(e, x, x, causal), mha.Forward(xv, xv, causal))
-	check("MHA-nomask", mha.Infer(e, x, mem, nil), mha.Forward(xv, memv, nil))
-
-	enc := NewEncoder(rng, dim, heads, 2)
-	check("Encoder", enc.Infer(e, x, nil), enc.Forward(xv, nil))
-
-	dec := NewDecoder(rng, dim, heads, 2)
-	check("Decoder", dec.Infer(e, x, mem, causal), dec.Forward(xv, memv, causal))
-}
-
 // TestDecoderForwardStepMatchesFullForward asserts KV-cached
 // incremental decoding reproduces the full-prefix forward bitwise: at
 // every step t, ForwardStep's output row equals row t of the full
@@ -63,13 +19,14 @@ func TestDecoderForwardStepMatchesFullForward(t *testing.T) {
 	dec := NewDecoder(rng, dim, heads, 2)
 	mem := tensor.Rand(rng, memLen, dim, 1)
 	xs := tensor.Rand(rng, steps, dim, 1)
+	view := LowerDecoder[float64](dec, PrecisionF64)
 
-	e := ag.NewEval()
+	e := ag.NewSession[float64]()
 	defer e.Reset()
-	cache := dec.NewCache(mem, steps)
+	cache := view.NewCache(mem, steps)
 	for step := 0; step < steps; step++ {
 		xNew := e.RowsView(xs, step, step+1)
-		got := dec.ForwardStep(e, xNew, cache)
+		got := view.ForwardStep(e, xNew, cache)
 		if cache.Len() != step+1 {
 			t.Fatalf("cache length %d after step %d", cache.Len(), step)
 		}
@@ -92,10 +49,10 @@ func TestDecoderForwardStepMatchesFullForward(t *testing.T) {
 func TestStepBeamsMatchesPerBeamSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const dim, heads, nb, memLen = 16, 2, 3, 4
-	dec := NewDecoder(rng, dim, heads, 1)
+	dec := LowerDecoder[float64](NewDecoder(rng, dim, heads, 1), PrecisionF64)
 	mem := tensor.Rand(rng, memLen, dim, 1)
 
-	e := ag.NewEval()
+	e := ag.NewSession[float64]()
 	defer e.Reset()
 
 	// Shared first step, then fork into nb hypotheses with distinct
@@ -105,7 +62,7 @@ func TestStepBeamsMatchesPerBeamSteps(t *testing.T) {
 	_ = dec.ForwardStep(e, x0, base)
 
 	x2 := tensor.Rand(rng, nb, dim, 1)
-	caches := make([]*DecCache, nb)
+	caches := make([]*DecCache[float64], nb)
 	for i := range caches {
 		caches[i] = base.Clone()
 	}

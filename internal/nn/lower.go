@@ -1,18 +1,26 @@
 // Precision lowering: the pass that converts trained float64 layers
-// into reduced-precision inference replicas running on ag.EvalF32.
+// into no-grad inference layers over element type E, and the one
+// no-grad forward of every layer.
 //
-// Lowering is one-way and serving-only — the float64 model remains the
-// single source of truth for training, checkpoints, and the eps=0
-// bitwise contracts; a lowered replica is a derived artifact rebuilt
-// from it at load/reload time. Within the f32 tier the serial/sharded
-// bitwise contract still holds (the f32 kernels guarantee it); across
-// tiers agreement with the float64 reference is *calibrated*, not
-// bitwise — internal/calib enforces the q-error budgets (DESIGN.md §9).
-//
-// At PrecisionInt8 every Linear weight is quantized per output channel
+// The grad-tape layers (nn.go, transformer.go) only build autodiff
+// graphs; every no-grad forward runs on a lowered layer and an
+// ag.Session[E]. Lowering to float64 (PrecisionF64) builds a view: the
+// lowered layer points at the trained weight tensors themselves (no
+// copy; tensor.As is the identity at float64), so it serves numbers
+// bitwise identical to the grad-tape Forward and tracks every later
+// in-place weight update. Lowering to float32 rounds the weights into
+// a replica rebuilt at load/reload time; lowering to PrecisionInt8
+// additionally quantizes every Linear weight per output channel
 // (tensor.QuantizeLinear) while biases, layer norms, embeddings and
 // learned tokens stay float32 — they are a rounding error of the
-// resident bytes and their dynamic range does not survive 8 bits.
+// resident bytes and their dynamic range does not survive 8 bits. The
+// int8 kernel takes float32 activations only, so int8 weights serve
+// from an ag.EvalF32 session.
+//
+// Within a tier serial and sharded results are bitwise equal (the
+// kernels guarantee it); across tiers agreement with the float64
+// reference is *calibrated*, not bitwise — internal/calib enforces the
+// q-error budgets (DESIGN.md §9).
 package nn
 
 import (
@@ -61,36 +69,36 @@ func ParsePrecision(s string) (Precision, error) {
 	return 0, fmt.Errorf("nn: unknown precision %q (want f64, f32 or int8)", s)
 }
 
-// LinearF32 is a lowered linear layer: either f32 weights (W) or
+// LoweredLinear is a lowered linear layer: either E weights (W) or
 // int8-quantized weights (W8), exactly one of which is non-nil.
-type LinearF32 struct {
-	W  *tensor.F32        // [in, out], f32 tier
+type LoweredLinear[E tensor.Float] struct {
+	W  *tensor.Dense[E]   // [in, out]
 	W8 *tensor.Int8Matrix // int8 tier (stored transposed [out, in])
-	B  *tensor.F32        // [1, out]
+	B  *tensor.Dense[E]   // [1, out]
 }
 
-// LowerLinear lowers a trained linear layer to p (which must not be
-// PrecisionF64 — the f64 path serves from the original layer).
-func LowerLinear(l *Linear, p Precision) *LinearF32 {
-	lf := &LinearF32{B: tensor.F32FromTensor(l.B.T)}
+// LowerLinear lowers a trained linear layer to E; p = PrecisionInt8
+// quantizes the weight.
+func LowerLinear[E tensor.Float](l *Linear, p Precision) *LoweredLinear[E] {
+	lf := &LoweredLinear[E]{B: tensor.As[E](l.B.T)}
 	if p == PrecisionInt8 {
 		lf.W8 = tensor.QuantizeLinear(l.W.T)
 	} else {
-		lf.W = tensor.F32FromTensor(l.W.T)
+		lf.W = tensor.As[E](l.W.T)
 	}
 	return lf
 }
 
-// Infer applies the lowered layer.
-func (l *LinearF32) Infer(e *ag.EvalF32, x *tensor.F32) *tensor.F32 {
+// Infer applies the layer to x [n, in] producing [n, out].
+func (l *LoweredLinear[E]) Infer(e *ag.Session[E], x *tensor.Dense[E]) *tensor.Dense[E] {
 	if l.W8 != nil {
 		return e.LinearInt8(x, l.W8, l.B)
 	}
 	return e.AddBias(e.MatMul(x, l.W), l.B)
 }
 
-// Bytes returns the resident weight bytes of the lowered layer.
-func (l *LinearF32) Bytes() int {
+// Bytes returns the resident weight bytes of the layer.
+func (l *LoweredLinear[E]) Bytes() int {
 	n := l.B.Bytes()
 	if l.W8 != nil {
 		return n + l.W8.Bytes()
@@ -98,90 +106,82 @@ func (l *LinearF32) Bytes() int {
 	return n + l.W.Bytes()
 }
 
-// EmbeddingF32 is a lowered embedding table (always f32: lookup rows
-// feed matmuls as activations, not weights).
-type EmbeddingF32 struct {
-	W *tensor.F32 // [vocab, dim]
+// LoweredEmbedding is a lowered embedding table (never quantized:
+// lookup rows feed matmuls as activations, not weights).
+type LoweredEmbedding[E tensor.Float] struct {
+	W *tensor.Dense[E] // [vocab, dim]
 }
 
-// LowerEmbedding lowers an embedding table.
-func LowerEmbedding(emb *Embedding) *EmbeddingF32 {
-	return &EmbeddingF32{W: tensor.F32FromTensor(emb.W.T)}
+// LowerEmbedding lowers an embedding table to E.
+func LowerEmbedding[E tensor.Float](emb *Embedding) *LoweredEmbedding[E] {
+	return &LoweredEmbedding[E]{W: tensor.As[E](emb.W.T)}
 }
 
 // Infer looks up the rows for ids, in order.
-func (emb *EmbeddingF32) Infer(e *ag.EvalF32, ids []int) *tensor.F32 {
+func (emb *LoweredEmbedding[E]) Infer(e *ag.Session[E], ids []int) *tensor.Dense[E] {
 	return e.Gather(emb.W, ids)
 }
 
 // Bytes returns the resident bytes of the table.
-func (emb *EmbeddingF32) Bytes() int { return emb.W.Bytes() }
+func (emb *LoweredEmbedding[E]) Bytes() int { return emb.W.Bytes() }
 
-// LayerNormF32 is a lowered layer norm (always f32 gain/bias).
-type LayerNormF32 struct {
-	Gamma *tensor.F32
-	Beta  *tensor.F32
+// LoweredLayerNorm is a lowered layer norm (never quantized).
+type LoweredLayerNorm[E tensor.Float] struct {
+	Gamma *tensor.Dense[E]
+	Beta  *tensor.Dense[E]
 	Eps   float64
 }
 
-// LowerLayerNorm lowers a layer norm.
-func LowerLayerNorm(l *LayerNorm) *LayerNormF32 {
-	return &LayerNormF32{
-		Gamma: tensor.F32FromTensor(l.Gamma.T),
-		Beta:  tensor.F32FromTensor(l.Beta.T),
-		Eps:   l.Eps,
-	}
+// LowerLayerNorm lowers a layer norm to E.
+func LowerLayerNorm[E tensor.Float](l *LayerNorm) *LoweredLayerNorm[E] {
+	return &LoweredLayerNorm[E]{Gamma: tensor.As[E](l.Gamma.T), Beta: tensor.As[E](l.Beta.T), Eps: l.Eps}
 }
 
 // Infer applies the normalization.
-func (l *LayerNormF32) Infer(e *ag.EvalF32, x *tensor.F32) *tensor.F32 {
+func (l *LoweredLayerNorm[E]) Infer(e *ag.Session[E], x *tensor.Dense[E]) *tensor.Dense[E] {
 	return e.LayerNormRows(x, l.Gamma, l.Beta, l.Eps)
 }
 
 // Bytes returns the resident bytes of the gain/bias rows.
-func (l *LayerNormF32) Bytes() int { return l.Gamma.Bytes() + l.Beta.Bytes() }
+func (l *LoweredLayerNorm[E]) Bytes() int { return l.Gamma.Bytes() + l.Beta.Bytes() }
 
-// MLPF32 is a lowered MLP.
-type MLPF32 struct {
-	Layers []*LinearF32
+// LoweredMLP is a lowered MLP.
+type LoweredMLP[E tensor.Float] struct {
+	Layers []*LoweredLinear[E]
 	Act    Activation
 }
 
-// LowerMLP lowers an MLP to p.
-func LowerMLP(m *MLP, p Precision) *MLPF32 {
-	lf := &MLPF32{Act: m.Act}
+// LowerMLP lowers an MLP to E at precision p.
+func LowerMLP[E tensor.Float](m *MLP, p Precision) *LoweredMLP[E] {
+	lf := &LoweredMLP[E]{Act: m.Act}
 	for _, l := range m.Layers {
-		lf.Layers = append(lf.Layers, LowerLinear(l, p))
+		lf.Layers = append(lf.Layers, LowerLinear[E](l, p))
 	}
 	return lf
 }
 
-func applyActInferF32(e *ag.EvalF32, a Activation, x *tensor.F32) *tensor.F32 {
-	switch a {
-	case ActReLU:
-		return e.ReLU(x)
-	case ActGELU:
-		return e.GELU(x)
-	case ActTanh:
-		return e.Tanh(x)
-	default:
-		panic("nn: unknown activation")
-	}
-}
-
-// Infer applies the lowered MLP.
-func (m *MLPF32) Infer(e *ag.EvalF32, x *tensor.F32) *tensor.F32 {
+// Infer applies the MLP.
+func (m *LoweredMLP[E]) Infer(e *ag.Session[E], x *tensor.Dense[E]) *tensor.Dense[E] {
 	for i, l := range m.Layers {
 		x = l.Infer(e, x)
 		if i+1 < len(m.Layers) {
-			x = applyActInferF32(e, m.Act, x)
+			switch m.Act {
+			case ActReLU:
+				x = e.ReLU(x)
+			case ActGELU:
+				x = e.GELU(x)
+			case ActTanh:
+				x = e.Tanh(x)
+			default:
+				panic("nn: unknown activation")
+			}
 		}
 	}
 	return x
 }
 
 // Bytes returns the resident bytes of the stack.
-func (m *MLPF32) Bytes() int {
+func (m *LoweredMLP[E]) Bytes() int {
 	n := 0
 	for _, l := range m.Layers {
 		n += l.Bytes()
@@ -189,43 +189,44 @@ func (m *MLPF32) Bytes() int {
 	return n
 }
 
-// MultiHeadAttentionF32 is a lowered attention block.
-type MultiHeadAttentionF32 struct {
-	WQ, WK, WV, WO *LinearF32
+// LoweredAttention is a lowered multi-head attention block.
+type LoweredAttention[E tensor.Float] struct {
+	WQ, WK, WV, WO *LoweredLinear[E]
 	Heads          int
 	Dim            int
 }
 
-// LowerMultiHeadAttention lowers an attention block to p.
-func LowerMultiHeadAttention(a *MultiHeadAttention, p Precision) *MultiHeadAttentionF32 {
-	return &MultiHeadAttentionF32{
-		WQ:    LowerLinear(a.WQ, p),
-		WK:    LowerLinear(a.WK, p),
-		WV:    LowerLinear(a.WV, p),
-		WO:    LowerLinear(a.WO, p),
+// LowerAttention lowers an attention block to E at precision p.
+func LowerAttention[E tensor.Float](a *MultiHeadAttention, p Precision) *LoweredAttention[E] {
+	return &LoweredAttention[E]{
+		WQ:    LowerLinear[E](a.WQ, p),
+		WK:    LowerLinear[E](a.WK, p),
+		WV:    LowerLinear[E](a.WV, p),
+		WO:    LowerLinear[E](a.WO, p),
 		Heads: a.Heads,
 		Dim:   a.Dim,
 	}
 }
 
-// Infer runs multi-head attention mirroring the f64 Infer op for op.
-// mask, if non-nil, is a [lq, lk] additive mask.
-func (a *MultiHeadAttentionF32) Infer(e *ag.EvalF32, q, kv, mask *tensor.F32) *tensor.F32 {
+// Infer attends queries q [lq, dim] over keys/values kv [lk, dim],
+// applying the kernels of MultiHeadAttention.Forward in the same
+// order. mask, if non-nil, is a [lq, lk] additive mask.
+func (a *LoweredAttention[E]) Infer(e *ag.Session[E], q, kv, mask *tensor.Dense[E]) *tensor.Dense[E] {
 	Q := a.WQ.Infer(e, q)
 	K := a.WK.Infer(e, kv)
 	V := a.WV.Infer(e, kv)
 	dh := a.Dim / a.Heads
 	scale := 1 / math.Sqrt(float64(dh))
-	qhs := make([]*tensor.F32, a.Heads)
-	khs := make([]*tensor.F32, a.Heads)
-	vhs := make([]*tensor.F32, a.Heads)
+	qhs := make([]*tensor.Dense[E], a.Heads)
+	khs := make([]*tensor.Dense[E], a.Heads)
+	vhs := make([]*tensor.Dense[E], a.Heads)
 	for h := 0; h < a.Heads; h++ {
 		qhs[h] = e.SliceCols(Q, h*dh, (h+1)*dh)
 		khs[h] = e.SliceCols(K, h*dh, (h+1)*dh)
 		vhs[h] = e.SliceCols(V, h*dh, (h+1)*dh)
 	}
 	scores := e.MatMulTransBBatch(qhs, khs)
-	attns := make([]*tensor.F32, a.Heads)
+	attns := make([]*tensor.Dense[E], a.Heads)
 	for h, s := range scores {
 		s = e.Scale(s, scale)
 		if mask != nil {
@@ -238,55 +239,54 @@ func (a *MultiHeadAttentionF32) Infer(e *ag.EvalF32, q, kv, mask *tensor.F32) *t
 }
 
 // Bytes returns the resident bytes of the four projections.
-func (a *MultiHeadAttentionF32) Bytes() int {
+func (a *LoweredAttention[E]) Bytes() int {
 	return a.WQ.Bytes() + a.WK.Bytes() + a.WV.Bytes() + a.WO.Bytes()
 }
 
-// EncoderLayerF32 is a lowered post-norm encoder block.
-type EncoderLayerF32 struct {
-	Attn *MultiHeadAttentionF32
-	FF   *MLPF32
-	LN1  *LayerNormF32
-	LN2  *LayerNormF32
+// LoweredEncoderLayer is a lowered post-norm encoder block.
+type LoweredEncoderLayer[E tensor.Float] struct {
+	Attn     *LoweredAttention[E]
+	FF       *LoweredMLP[E]
+	LN1, LN2 *LoweredLayerNorm[E]
 }
 
-// LowerEncoderLayer lowers one encoder block to p.
-func LowerEncoderLayer(l *EncoderLayer, p Precision) *EncoderLayerF32 {
-	return &EncoderLayerF32{
-		Attn: LowerMultiHeadAttention(l.Attn, p),
-		FF:   LowerMLP(l.FF, p),
-		LN1:  LowerLayerNorm(l.LN1),
-		LN2:  LowerLayerNorm(l.LN2),
+// LowerEncoderLayer lowers one encoder block to E at precision p.
+func LowerEncoderLayer[E tensor.Float](l *EncoderLayer, p Precision) *LoweredEncoderLayer[E] {
+	return &LoweredEncoderLayer[E]{
+		Attn: LowerAttention[E](l.Attn, p),
+		FF:   LowerMLP[E](l.FF, p),
+		LN1:  LowerLayerNorm[E](l.LN1),
+		LN2:  LowerLayerNorm[E](l.LN2),
 	}
 }
 
 // Infer applies the block.
-func (l *EncoderLayerF32) Infer(e *ag.EvalF32, x, mask *tensor.F32) *tensor.F32 {
+func (l *LoweredEncoderLayer[E]) Infer(e *ag.Session[E], x, mask *tensor.Dense[E]) *tensor.Dense[E] {
 	x = l.LN1.Infer(e, e.Add(x, l.Attn.Infer(e, x, x, mask)))
 	return l.LN2.Infer(e, e.Add(x, l.FF.Infer(e, x)))
 }
 
 // Bytes returns the resident bytes of the block.
-func (l *EncoderLayerF32) Bytes() int {
+func (l *LoweredEncoderLayer[E]) Bytes() int {
 	return l.Attn.Bytes() + l.FF.Bytes() + l.LN1.Bytes() + l.LN2.Bytes()
 }
 
-// EncoderF32 is a lowered encoder stack.
-type EncoderF32 struct {
-	Layers []*EncoderLayerF32
+// LoweredEncoder is a lowered encoder stack.
+type LoweredEncoder[E tensor.Float] struct {
+	Layers []*LoweredEncoderLayer[E]
 }
 
-// LowerEncoder lowers an encoder stack to p.
-func LowerEncoder(enc *Encoder, p Precision) *EncoderF32 {
-	out := &EncoderF32{}
+// LowerEncoder lowers an encoder stack to E at precision p.
+func LowerEncoder[E tensor.Float](enc *Encoder, p Precision) *LoweredEncoder[E] {
+	out := &LoweredEncoder[E]{}
 	for _, l := range enc.Layers {
-		out.Layers = append(out.Layers, LowerEncoderLayer(l, p))
+		out.Layers = append(out.Layers, LowerEncoderLayer[E](l, p))
 	}
 	return out
 }
 
 // Infer applies the stack.
-func (enc *EncoderF32) Infer(e *ag.EvalF32, x, mask *tensor.F32) *tensor.F32 {
+func (enc *LoweredEncoder[E]) Infer(e *ag.Session[E], x, mask *tensor.Dense[E]) *tensor.Dense[E] {
 	for _, l := range enc.Layers {
 		x = l.Infer(e, x, mask)
 	}
@@ -294,7 +294,7 @@ func (enc *EncoderF32) Infer(e *ag.EvalF32, x, mask *tensor.F32) *tensor.F32 {
 }
 
 // Bytes returns the resident bytes of the stack.
-func (enc *EncoderF32) Bytes() int {
+func (enc *LoweredEncoder[E]) Bytes() int {
 	n := 0
 	for _, l := range enc.Layers {
 		n += l.Bytes()
@@ -302,31 +302,83 @@ func (enc *EncoderF32) Bytes() int {
 	return n
 }
 
-// TreePositionalEncoderF32 is a lowered tree positional encoder. It
-// keeps a reference to its source for the memoized RawFeature rows
+// LoweredDecoderLayer is a lowered post-norm decoder block.
+type LoweredDecoderLayer[E tensor.Float] struct {
+	SelfAttn      *LoweredAttention[E]
+	CrossAttn     *LoweredAttention[E]
+	FF            *LoweredMLP[E]
+	LN1, LN2, LN3 *LoweredLayerNorm[E]
+}
+
+// LowerDecoderLayer lowers one decoder block to E at precision p.
+func LowerDecoderLayer[E tensor.Float](l *DecoderLayer, p Precision) *LoweredDecoderLayer[E] {
+	return &LoweredDecoderLayer[E]{
+		SelfAttn:  LowerAttention[E](l.SelfAttn, p),
+		CrossAttn: LowerAttention[E](l.CrossAttn, p),
+		FF:        LowerMLP[E](l.FF, p),
+		LN1:       LowerLayerNorm[E](l.LN1),
+		LN2:       LowerLayerNorm[E](l.LN2),
+		LN3:       LowerLayerNorm[E](l.LN3),
+	}
+}
+
+// Infer applies the block over the full prefix x with causal mask
+// causal (nil for none) and encoder memory mem.
+func (l *LoweredDecoderLayer[E]) Infer(e *ag.Session[E], x, mem, causal *tensor.Dense[E]) *tensor.Dense[E] {
+	x = l.LN1.Infer(e, e.Add(x, l.SelfAttn.Infer(e, x, x, causal)))
+	x = l.LN2.Infer(e, e.Add(x, l.CrossAttn.Infer(e, x, mem, nil)))
+	return l.LN3.Infer(e, e.Add(x, l.FF.Infer(e, x)))
+}
+
+// LoweredDecoder is a lowered decoder stack. Besides the full-prefix
+// Infer it decodes incrementally against K/V caches (kvcache.go).
+type LoweredDecoder[E tensor.Float] struct {
+	Layers []*LoweredDecoderLayer[E]
+}
+
+// LowerDecoder lowers a decoder stack to E at precision p.
+func LowerDecoder[E tensor.Float](d *Decoder, p Precision) *LoweredDecoder[E] {
+	out := &LoweredDecoder[E]{}
+	for _, l := range d.Layers {
+		out.Layers = append(out.Layers, LowerDecoderLayer[E](l, p))
+	}
+	return out
+}
+
+// Infer applies the stack with a shared causal mask.
+func (d *LoweredDecoder[E]) Infer(e *ag.Session[E], x, mem, causal *tensor.Dense[E]) *tensor.Dense[E] {
+	for _, l := range d.Layers {
+		x = l.Infer(e, x, mem, causal)
+	}
+	return x
+}
+
+// LoweredTreePositionalEncoder is a lowered tree positional encoder.
+// It keeps a reference to its source for the memoized RawFeature rows
 // (the raw 0/1 features are exact in every tier).
-type TreePositionalEncoderF32 struct {
+type LoweredTreePositionalEncoder[E tensor.Float] struct {
 	MaxDepth int
-	Proj     *LinearF32
+	Proj     *LoweredLinear[E]
 	src      *TreePositionalEncoder
 }
 
-// LowerTreePositionalEncoder lowers the tree positional encoder to p.
-func LowerTreePositionalEncoder(t *TreePositionalEncoder, p Precision) *TreePositionalEncoderF32 {
-	return &TreePositionalEncoderF32{MaxDepth: t.MaxDepth, Proj: LowerLinear(t.Proj, p), src: t}
+// LowerTreePositionalEncoder lowers the tree positional encoder to E
+// at precision p.
+func LowerTreePositionalEncoder[E tensor.Float](t *TreePositionalEncoder, p Precision) *LoweredTreePositionalEncoder[E] {
+	return &LoweredTreePositionalEncoder[E]{MaxDepth: t.MaxDepth, Proj: LowerLinear[E](t.Proj, p), src: t}
 }
 
 // Infer encodes a batch of paths into a [len(paths), dim] matrix.
-func (t *TreePositionalEncoderF32) Infer(e *ag.EvalF32, paths []TreePath) *tensor.F32 {
+func (t *LoweredTreePositionalEncoder[E]) Infer(e *ag.Session[E], paths []TreePath) *tensor.Dense[E] {
 	raw := e.Get(len(paths), 2*t.MaxDepth)
 	for i, p := range paths {
 		row := raw.Row(i)
 		for j, v := range t.src.RawFeature(p) {
-			row[j] = float32(v)
+			row[j] = E(v)
 		}
 	}
 	return t.Proj.Infer(e, raw)
 }
 
 // Bytes returns the resident bytes of the projection.
-func (t *TreePositionalEncoderF32) Bytes() int { return t.Proj.Bytes() }
+func (t *LoweredTreePositionalEncoder[E]) Bytes() int { return t.Proj.Bytes() }

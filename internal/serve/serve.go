@@ -4,15 +4,16 @@
 // checkpoint, and the layer mtmlf-loadgen is built to saturate.
 //
 // Architecture: a bounded pool of session workers, each owning one
-// inference session per batch (one ag.Eval checked out of the
-// process-wide evaluator pool via AcquireEval, released — and with it
-// every pooled tensor — when the batch completes). Requests funnel
-// through one bounded queue; a worker that picks up a request drains
-// up to MaxBatch-1 more within BatchWindow and serves them as a
-// micro-batch: each request's (F)+(S) representation runs in the
-// shared session, and the cardinality/cost head projections of the
-// whole batch fuse into single kernel dispatches over the
-// row-concatenated node representations. The kernels compute every
+// inference session per batch (one ag.Session of the serving tier's
+// element type, checked out of the process-wide free-list via
+// AcquireSession and released — and with it every pooled tensor — when
+// the batch completes). Requests funnel through one bounded queue; a
+// worker that picks up a request drains up to MaxBatch-1 more within
+// BatchWindow and serves them as a micro-batch: each request's
+// (F)+(S) representation runs in the shared session, and the
+// cardinality/cost head projections of the whole batch fuse into
+// single kernel dispatches over the row-concatenated node
+// representations. The kernels compute every
 // output row independently with a fixed accumulation order (see
 // tensor/matmul.go), so each request's slice of the fused result is
 // BITWISE identical to a solo forward — concurrency and batching
@@ -183,22 +184,23 @@ func (r *request) expired(now time.Time) bool {
 }
 
 // served bundles everything one micro-batch needs to be consistent: a
-// model and (at reduced precision) the replica lowered from it. A
+// model and the lowered forward built from it — the model's float64
+// view at PrecisionF64, a reduced-precision replica otherwise. A
 // Reload builds a fresh bundle and swaps the one pointer, so a batch
-// that snapshotted the old bundle keeps a matching model/replica pair.
+// that snapshotted the old bundle keeps a matching model/forward pair.
 type served struct {
 	model *mtmlf.Model
-	// lowered is the reduced-precision replica (nil at PrecisionF64).
-	lowered *mtmlf.LoweredModel
+	// Exactly one of f64 and f32 is set.
+	f64 *mtmlf.Lowered[float64]
+	f32 *mtmlf.LoweredModel
 }
 
-// newServed lowers m to p (a no-op bundle at PrecisionF64).
+// newServed lowers m to p.
 func newServed(m *mtmlf.Model, p nn.Precision) *served {
-	s := &served{model: m}
-	if p != nn.PrecisionF64 {
-		s.lowered = m.Lower(p)
+	if p == nn.PrecisionF64 {
+		return &served{model: m, f64: m.F64()}
 	}
-	return s
+	return &served{model: m, f32: m.Lower(p)}
 }
 
 // Engine is the concurrent serving front end over one hot-swappable
@@ -299,11 +301,11 @@ func (e *Engine) Precision() nn.Precision { return e.opts.Precision }
 
 // LoweredParamBytes returns the resident parameter bytes of whatever
 // is actually answering requests: the lowered replica at reduced
-// precision, the float64 model otherwise.
+// precision, the float64 model (which the f64 view shares) otherwise.
 func (e *Engine) LoweredParamBytes() int {
 	s := e.cur.Load()
-	if s.lowered != nil {
-		return s.lowered.ParamBytes()
+	if s.f32 != nil {
+		return s.f32.ParamBytes()
 	}
 	return s.model.ParamBytes()
 }
@@ -439,7 +441,7 @@ func (e *Engine) worker() {
 		if !e.admit(first) {
 			continue
 		}
-		e.runBatch(e.cur.Load(), e.fill(first))
+		e.dispatch(e.cur.Load(), e.fill(first))
 	}
 }
 
@@ -500,74 +502,59 @@ func (e *Engine) fill(first *request) []*request {
 	return batch
 }
 
-// runBatch serves one micro-batch inside one inference session
-// against one model-bundle snapshot, dispatching on the serving tier.
-// The session's evaluator (and every pooled tensor of the batch) is
-// released at the end — see DESIGN.md "Session ownership".
-func (e *Engine) runBatch(s *served, batch []*request) {
-	if s.lowered != nil {
-		e.runBatchF32(s.lowered, batch)
-		return
-	}
-	m := s.model
-	ev := ag.AcquireEval()
-	defer ag.ReleaseEval(ev)
-
-	reps := make([]*mtmlf.InferRep, len(batch))
-	for i, r := range batch {
-		reps[i] = e.represent(m, ev, r)
-	}
-	e.runHeads(m, ev, EndpointCard, batch, reps)
-	e.runHeads(m, ev, EndpointCost, batch, reps)
-	for i, r := range batch {
-		if r.ep == EndpointJoinOrder && reps[i] != nil {
-			e.runJoinOrder(m, r, reps[i])
-		}
+// dispatch serves one micro-batch against one model-bundle snapshot,
+// at the bundle's serving tier.
+func (e *Engine) dispatch(s *served, batch []*request) {
+	if s.f32 != nil {
+		runBatch(s.f32, batch)
+	} else {
+		runBatch(s.f64, batch)
 	}
 	e.stats.recordBatch(len(batch))
 }
 
-// runBatchF32 is runBatch's reduced-precision twin: same fused-head
-// batching, same panic/delivery discipline, running on the EvalF32
-// session over the lowered replica.
-func (e *Engine) runBatchF32(lm *mtmlf.LoweredModel, batch []*request) {
-	ev := ag.AcquireEvalF32()
-	defer ag.ReleaseEvalF32(ev)
+// runBatch serves a micro-batch on lm's no-grad forward: each
+// request's representation in one shared session, then the fused card
+// and cost heads, then each join-order request's beam search. The
+// session (and every pooled tensor of the batch) is released at the
+// end — see DESIGN.md "Session ownership".
+func runBatch[E tensor.Float](lm *mtmlf.Lowered[E], batch []*request) {
+	ev := ag.AcquireSession[E]()
+	defer ag.ReleaseSession(ev)
 
-	reps := make([]*mtmlf.InferRepF32, len(batch))
+	reps := make([]*mtmlf.InferRep[E], len(batch))
 	for i, r := range batch {
-		reps[i] = e.representF32(lm, ev, r)
+		reps[i] = represent(lm, ev, r)
 	}
-	e.runHeadsF32(lm, ev, EndpointCard, batch, reps)
-	e.runHeadsF32(lm, ev, EndpointCost, batch, reps)
+	runHeads(lm, ev, EndpointCard, batch, reps)
+	runHeads(lm, ev, EndpointCost, batch, reps)
 	for i, r := range batch {
 		if r.ep == EndpointJoinOrder && reps[i] != nil {
-			e.runJoinOrderF32(lm, r, reps[i])
+			runJoinOrder(lm, r, reps[i])
 		}
 	}
-	e.stats.recordBatch(len(batch))
 }
 
 // represent computes one request's shared representation in the
 // session, converting any surviving model panic into ErrInternal
 // (validation should have caught everything typed).
-func (e *Engine) represent(m *mtmlf.Model, ev *ag.Eval, r *request) (rep *mtmlf.InferRep) {
+func represent[E tensor.Float](lm *mtmlf.Lowered[E], ev *ag.Session[E], r *request) (rep *mtmlf.InferRep[E]) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep = nil
 			r.done <- result{err: fmt.Errorf("%w: %v", ErrInternal, p)}
 		}
 	}()
-	return m.RepresentInfer(ev, r.q, r.p)
+	return lm.RepresentInfer(ev, r.q, r.p)
 }
 
 // runHeads fuses one head over every batch request of the given kind:
 // a single MLP dispatch over the row-concatenated node
 // representations. Each request's rows are computed independently by
 // the kernels, so its slice is bitwise identical to a solo forward.
-func (e *Engine) runHeads(m *mtmlf.Model, ev *ag.Eval, ep Endpoint, batch []*request, reps []*mtmlf.InferRep) {
+func runHeads[E tensor.Float](lm *mtmlf.Lowered[E], ev *ag.Session[E], ep Endpoint, batch []*request, reps []*mtmlf.InferRep[E]) {
 	var idx []int
-	var ss []*tensor.Tensor
+	var ss []*tensor.Dense[E]
 	for i, r := range batch {
 		if r.ep == ep && reps[i] != nil {
 			idx = append(idx, i)
@@ -594,62 +581,6 @@ func (e *Engine) runHeads(m *mtmlf.Model, ev *ag.Eval, ep Endpoint, batch []*req
 	if len(ss) > 1 {
 		fused = ev.ConcatRows(ss...)
 	}
-	head := m.Shared.CardHead
-	if ep == EndpointCost {
-		head = m.Shared.CostHead
-	}
-	out := head.Infer(ev, fused) // [total nodes, 1]
-	row := 0
-	for _, i := range idx {
-		nRows := reps[i].S.Rows()
-		// ExpClamp copies into a fresh slice, so no pooled memory
-		// escapes the session.
-		batch[i].done <- result{nodes: mtmlf.ExpClamp(out.Data[row : row+nRows])}
-		delivered++
-		row += nRows
-	}
-}
-
-// representF32 is represent's reduced-precision twin.
-func (e *Engine) representF32(lm *mtmlf.LoweredModel, ev *ag.EvalF32, r *request) (rep *mtmlf.InferRepF32) {
-	defer func() {
-		if p := recover(); p != nil {
-			rep = nil
-			r.done <- result{err: fmt.Errorf("%w: %v", ErrInternal, p)}
-		}
-	}()
-	return lm.RepresentInfer(ev, r.q, r.p)
-}
-
-// runHeadsF32 fuses one lowered head over every batch request of the
-// given kind, with the same delivered-counting panic backstop as
-// runHeads. ExpClamp32 copies into fresh float64 slices, so no pooled
-// f32 memory escapes the session.
-func (e *Engine) runHeadsF32(lm *mtmlf.LoweredModel, ev *ag.EvalF32, ep Endpoint, batch []*request, reps []*mtmlf.InferRepF32) {
-	var idx []int
-	var ss []*tensor.F32
-	for i, r := range batch {
-		if r.ep == ep && reps[i] != nil {
-			idx = append(idx, i)
-			ss = append(ss, reps[i].S)
-		}
-	}
-	if len(idx) == 0 {
-		return
-	}
-	delivered := 0
-	defer func() {
-		if p := recover(); p != nil {
-			err := fmt.Errorf("%w: %v", ErrInternal, p)
-			for _, i := range idx[delivered:] {
-				batch[i].done <- result{err: err}
-			}
-		}
-	}()
-	fused := ss[0]
-	if len(ss) > 1 {
-		fused = ev.ConcatRows(ss...)
-	}
 	head := lm.CardHead
 	if ep == EndpointCost {
 		head = lm.CostHead
@@ -658,46 +589,25 @@ func (e *Engine) runHeadsF32(lm *mtmlf.LoweredModel, ev *ag.EvalF32, ep Endpoint
 	row := 0
 	for _, i := range idx {
 		nRows := reps[i].S.Rows()
-		batch[i].done <- result{nodes: mtmlf.ExpClamp32(out.Data[row : row+nRows])}
+		// ExpClamp copies into a fresh float64 slice, so no pooled
+		// memory escapes the session.
+		batch[i].done <- result{nodes: mtmlf.ExpClamp(out.Data[row : row+nRows])}
 		delivered++
 		row += nRows
 	}
 }
 
-// runJoinOrderF32 serves one join-order request from a lowered
-// representation: the [m, Dim] memory is up-converted once and decoded
-// by the source model's float64 Trans_JO (join orders are identical
-// across tiers by the calibration contract, not merely close).
-func (e *Engine) runJoinOrderF32(lm *mtmlf.LoweredModel, r *request, rep *mtmlf.InferRepF32) {
+// runJoinOrder serves one join-order request from its representation:
+// KV-cached constrained beam search on Trans_JO's float64 view (join
+// orders are identical across tiers by the calibration contract, not
+// merely close).
+func runJoinOrder[E tensor.Float](lm *mtmlf.Lowered[E], r *request, rep *mtmlf.InferRep[E]) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.done <- result{err: fmt.Errorf("%w: %v", ErrInternal, p)}
 		}
 	}()
-	mem := rep.Memory.ToTensor()
-	res := lm.Src.Shared.JO.BeamSearchTensor(mem, r.q, lm.Src.Shared.Cfg.BeamWidth, true)
-	best, ok := mtmlf.BestBeam(res)
-	if !ok {
-		r.done <- result{err: fmt.Errorf("%w: join graph admits no connected order", ErrNoJoinOrder)}
-		return
-	}
-	r.done <- result{order: JoinOrderResult{
-		Order:   best.OrderTables(rep.Tables),
-		LogProb: best.LogProb,
-		Legal:   best.Legal,
-	}}
-}
-
-// runJoinOrder serves one join-order request from its representation
-// (KV-cached constrained beam search, same as the serial fast path).
-func (e *Engine) runJoinOrder(m *mtmlf.Model, r *request, rep *mtmlf.InferRep) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.done <- result{err: fmt.Errorf("%w: %v", ErrInternal, p)}
-		}
-	}()
-	res := m.Shared.JO.BeamSearchTensor(rep.Memory, r.q, m.Shared.Cfg.BeamWidth, true)
-	best, ok := mtmlf.BestBeam(res)
+	best, ok := mtmlf.BestBeam(lm.JoinOrderBeams(r.q, rep))
 	if !ok {
 		r.done <- result{err: fmt.Errorf("%w: join graph admits no connected order", ErrNoJoinOrder)}
 		return

@@ -6,67 +6,12 @@ import (
 	"testing"
 )
 
-func randF32Pair(rng *rand.Rand, m, k, n int) (*F32, *F32) {
-	return F32FromTensor(RandNorm(rng, m, k, 1)), F32FromTensor(RandNorm(rng, k, n, 1))
-}
-
-// refMatMulF32 is the unblocked (i, l, j) f32 kernel: same per-element
-// accumulation order (ascending l) as matMulF32Rows, so the blocked /
-// unrolled / sharded kernels must match it bitwise.
-func refMatMulF32(a, b *F32) *F32 {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	out := NewF32(m, n)
-	for i := 0; i < m; i++ {
-		for l := 0; l < k; l++ {
-			av := a.Data[i*k+l]
-			for j := 0; j < n; j++ {
-				out.Data[i*n+j] += av * b.Data[l*n+j]
-			}
-		}
-	}
-	return out
-}
-
-func TestMatMulF32MatchesReferenceBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, sh := range shapes {
-		a, b := randF32Pair(rng, sh.m, sh.k, sh.n)
-		if !EqualF32(MatMulF32(a, b), refMatMulF32(a, b), 0) {
-			t.Fatalf("[%dx%d @ %dx%d] blocked f32 kernel differs from reference", sh.m, sh.k, sh.k, sh.n)
-		}
-	}
-}
-
 func TestMatMulF32ParallelMatchesSerialBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, sh := range shapes {
-		a, b := randF32Pair(rng, sh.m, sh.k, sh.n)
-		SetParallelism(1)
-		serial := MatMulF32(a, b)
-		SetParallelism(8)
-		par := MatMulF32(a, b)
-		SetParallelism(0)
-		if !EqualF32(serial, par, 0) {
-			t.Fatalf("[%dx%d @ %dx%d] parallel f32 result differs from serial", sh.m, sh.k, sh.k, sh.n)
-		}
-	}
+	checkMatMulBitwise[float32](t, 2)
 }
 
 func TestMatMulTransBF32ParallelMatchesSerialBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, sh := range shapes {
-		a := F32FromTensor(RandNorm(rng, sh.m, sh.k, 1))
-		b := F32FromTensor(RandNorm(rng, sh.n, sh.k, 1))
-		SetParallelism(1)
-		serial := MatMulTransBF32(a, b)
-		SetParallelism(8)
-		par := MatMulTransBF32(a, b)
-		SetParallelism(0)
-		if !EqualF32(serial, par, 0) {
-			t.Fatalf("[%dx%d @ %dx%d^T] parallel f32 result differs from serial", sh.m, sh.k, sh.n, sh.k)
-		}
-	}
+	checkMatMulTransBBitwise[float32](t, 3, nil)
 }
 
 // TestMatMulF32NearFloat64 pins the cross-tier calibration bound at
@@ -76,7 +21,8 @@ func TestMatMulF32NearFloat64(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a64, b64 := randPair(rng, 64, 96, 48)
 	out64 := MatMul(a64, b64)
-	out32 := MatMulF32(F32FromTensor(a64), F32FromTensor(b64))
+	out32 := NewDense[float32](64, 48)
+	MatMulInto(As[float32](a64), As[float32](b64), out32)
 	for i := range out64.Data {
 		ref := out64.Data[i]
 		got := float64(out32.Data[i])
@@ -89,7 +35,7 @@ func TestMatMulF32NearFloat64(t *testing.T) {
 func TestElementwiseF32KernelsMatchFloat64(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a64 := RandNorm(rng, 9, 33, 2)
-	a32 := F32FromTensor(a64)
+	a32 := As[float32](a64)
 	gamma := RandNorm(rng, 1, 33, 1)
 	beta := RandNorm(rng, 1, 33, 1)
 
@@ -102,67 +48,44 @@ func TestElementwiseF32KernelsMatchFloat64(t *testing.T) {
 		}
 	}
 
-	out32 := NewF32(9, 33)
+	out32 := NewDense[float32](9, 33)
 	out64 := New(9, 33)
 
-	SoftmaxRowsF32Into(a32, out32)
+	SoftmaxRowsInto(a32, out32)
 	SoftmaxRowsInto(a64, out64)
 	check("softmax", out32, out64, 1e-5)
 
-	LogSoftmaxRowsF32Into(a32, out32)
+	LogSoftmaxRowsInto(a32, out32)
 	LogSoftmaxRowsInto(a64, out64)
 	check("logsoftmax", out32, out64, 1e-4)
 
-	LayerNormRowsF32Into(a32, F32FromTensor(gamma), F32FromTensor(beta), 1e-5, out32)
+	LayerNormRowsInto(a32, As[float32](gamma), As[float32](beta), 1e-5, out32)
 	LayerNormRowsInto(a64, gamma, beta, 1e-5, out64)
 	check("layernorm", out32, out64, 1e-4)
 
-	GELUF32Into(a32, out32)
+	GELUInto(a32, out32)
 	GELUInto(a64, out64)
 	check("gelu", out32, out64, 1e-5)
 
-	ReLUF32Into(a32, out32)
+	ReLUInto(a32, out32)
 	ReLUInto(a64, out64)
 	check("relu", out32, out64, 1e-6)
 
-	TanhF32Into(a32, out32)
+	TanhInto(a32, out32)
 	TanhInto(a64, out64)
 	check("tanh", out32, out64, 1e-6)
 
-	SigmoidF32Into(a32, out32)
+	SigmoidInto(a32, out32)
 	SigmoidInto(a64, out64)
 	check("sigmoid", out32, out64, 1e-6)
 
-	bias := F32FromTensor(gamma)
-	AddBiasF32Into(a32, bias, out32)
+	bias := As[float32](gamma)
+	AddBiasInto(a32, bias, out32)
 	AddBiasInto(a64, gamma, out64)
 	check("addbias", out32, out64, 1e-6)
 }
 
-func TestPoolF32ReusesBuffers(t *testing.T) {
-	p := NewPoolF32()
-	a := p.Get(4, 8)
-	a.Data[0] = 42
-	if p.Live() != 1 {
-		t.Fatalf("Live = %d, want 1", p.Live())
-	}
-	p.Reset()
-	b := p.Get(8, 4) // same element count, different shape
-	if &b.Data[0] != &a.Data[0] {
-		t.Fatal("PoolF32 did not reuse the buffer")
-	}
-	if b.Data[0] != 0 {
-		t.Fatal("PoolF32.Get returned unzeroed reused buffer")
-	}
-	if b.Rows() != 8 || b.Cols() != 4 {
-		t.Fatalf("reused buffer shape %v, want [8 4]", b.Shape)
-	}
-	c := p.GetUninit(4, 8)
-	if p.Live() != 2 {
-		t.Fatalf("Live = %d, want 2", p.Live())
-	}
-	_ = c
-}
+func TestPoolF32ReusesBuffers(t *testing.T) { checkPoolReuse[float32](t) }
 
 // TestQuantizeRowInt8RoundTripBound is the lowering property test: the
 // dequantized row never deviates from the original by more than
@@ -220,18 +143,18 @@ func TestQuantizeLinearRoundTripBound(t *testing.T) {
 func TestMatMulInt8ParallelMatchesSerialBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, sh := range []struct{ m, k, n int }{{3, 5, 7}, {64, 64, 64}, {130, 140, 150}} {
-		a := F32FromTensor(RandNorm(rng, sh.m, sh.k, 1))
+		a := As[float32](RandNorm(rng, sh.m, sh.k, 1))
 		w := QuantizeLinear(Xavier(rng, sh.k, sh.n))
-		bias := F32FromTensor(RandNorm(rng, 1, sh.n, 1))
+		bias := As[float32](RandNorm(rng, 1, sh.n, 1))
 		qbuf := make([]int8, sh.m*sh.k)
-		serial := NewF32(sh.m, sh.n)
-		par := NewF32(sh.m, sh.n)
+		serial := NewDense[float32](sh.m, sh.n)
+		par := NewDense[float32](sh.m, sh.n)
 		SetParallelism(1)
 		MatMulInt8Into(a, w, bias, serial, qbuf)
 		SetParallelism(8)
 		MatMulInt8Into(a, w, bias, par, qbuf)
 		SetParallelism(0)
-		if !EqualF32(serial, par, 0) {
+		if !Equal(serial, par, 0) {
 			t.Fatalf("[%dx%dx%d] parallel int8 result differs from serial", sh.m, sh.k, sh.n)
 		}
 	}
@@ -251,8 +174,8 @@ func TestMatMulInt8NearFloat64(t *testing.T) {
 	ref := MatMul(a64, w64)
 	AddBiasInto(ref, bias64, ref)
 
-	out := NewF32(m, n)
-	MatMulInt8Into(F32FromTensor(a64), QuantizeLinear(w64), F32FromTensor(bias64), out, make([]int8, m*k))
+	out := NewDense[float32](m, n)
+	MatMulInt8Into(As[float32](a64), QuantizeLinear(w64), As[float32](bias64), out, make([]int8, m*k))
 
 	for i := range ref.Data {
 		if d := math.Abs(float64(out.Data[i]) - ref.Data[i]); d > 0.05 {

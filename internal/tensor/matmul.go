@@ -25,6 +25,17 @@
 // Blocking only reorders which (i, l) pairs are visited when — each
 // out[i,j] still accumulates its k products in ascending l order, the
 // invariant the bitwise-equality guarantee rests on.
+//
+// # DESIGN — the one branch on element type
+//
+// The dispatchers are generic over E; only the row bodies differ per
+// element type, and matMulRows/matMulTransBRows are where the kernels
+// branch on E. The float64 bodies below skip zero entries of A (plan
+// feature rows are sparse one-hots) and sum each TransB dot product in
+// ascending order; the float32 bodies (matmul_f32.go) unroll 4x4 and
+// reduce each dot product as (s0+s1)+(s2+s3). Both orders are fixed,
+// so each tier stays bitwise deterministic. Merging the two would
+// change one tier's served bits, so they stay separate by design.
 package tensor
 
 import (
@@ -76,27 +87,41 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %v @ %v", a.Shape, b.Shape))
 	}
 	out := New(m, n)
-	matMulInto(a.Data, b.Data, out.Data, m, k, n)
+	matMulInto(a, b, out)
 	return out
 }
 
-func matMulInto(a, b, out []float64, m, k, n int) {
+// matMulInto dispatches out += a @ b (shapes already checked) serially
+// or sharded by output row.
+func matMulInto[E Float](a, b, out *Dense[E]) {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	if m*k*n < serialFlops {
-		matMulRows(a, b, out, k, n, 0, m)
+		matMulRows(a.Data, b.Data, out.Data, k, n, 0, m)
 		return
 	}
 	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
-		matMulRows(a, b, out, k, n, i0, i1)
+		matMulRows(a.Data, b.Data, out.Data, k, n, i0, i1)
 	})
 }
 
-// matMulRows computes output rows [i0, i1) of a @ b. The k loop is
+// matMulRows computes output rows [i0, i1) of a @ b with the row body
+// of E's tier (see the package DESIGN note above).
+func matMulRows[E Float](a, b, out []E, k, n, i0, i1 int) {
+	switch a := any(a).(type) {
+	case []float64:
+		matMulRows64(a, any(b).([]float64), any(out).([]float64), k, n, i0, i1)
+	case []float32:
+		matMulRows32(a, any(b).([]float32), any(out).([]float32), k, n, i0, i1)
+	}
+}
+
+// matMulRows64 computes output rows [i0, i1) of a @ b. The k loop is
 // blocked so the active B slab stays cache-resident; within a block
 // the (i, l, j) order matches the classic kernel, streaming both B
 // and out rows sequentially. Zero entries of A are skipped — plan
 // feature rows are sparse one-hots, so this pays off well beyond its
 // cost on dense inputs.
-func matMulRows(a, b, out []float64, k, n, i0, i1 int) {
+func matMulRows64(a, b, out []float64, k, n, i0, i1 int) {
 	for l0 := 0; l0 < k; l0 += kcBlock {
 		l1 := l0 + kcBlock
 		if l1 > k {
@@ -130,20 +155,38 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dim mismatch %v @ %v^T", a.Shape, b.Shape))
 	}
 	out := New(m, n)
+	matMulTransBInto(a, b, out)
+	return out
+}
+
+// matMulTransBInto dispatches out = a @ b^T (shapes already checked)
+// serially or sharded by output row.
+func matMulTransBInto[E Float](a, b, out *Dense[E]) {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
 	if m*k*n < serialFlops {
 		matMulTransBRows(a.Data, b.Data, out.Data, k, n, 0, m)
-		return out
+		return
 	}
 	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
 		matMulTransBRows(a.Data, b.Data, out.Data, k, n, i0, i1)
 	})
-	return out
 }
 
-// matMulTransBRows computes output rows [i0, i1) of a @ b^T as dot
+// matMulTransBRows computes output rows [i0, i1) of a @ b^T with the
+// row body of E's tier.
+func matMulTransBRows[E Float](a, b, out []E, k, n, i0, i1 int) {
+	switch a := any(a).(type) {
+	case []float64:
+		matMulTransBRows64(a, any(b).([]float64), any(out).([]float64), k, n, i0, i1)
+	case []float32:
+		matMulTransBRows32(a, any(b).([]float32), any(out).([]float32), k, n, i0, i1)
+	}
+}
+
+// matMulTransBRows64 computes output rows [i0, i1) of a @ b^T as dot
 // products, visiting B in jcBlock-row slabs so each slab is reused
 // across all rows of the shard while hot.
-func matMulTransBRows(a, b, out []float64, k, n, i0, i1 int) {
+func matMulTransBRows64(a, b, out []float64, k, n, i0, i1 int) {
 	for j0 := 0; j0 < n; j0 += jcBlock {
 		j1 := j0 + jcBlock
 		if j1 > n {

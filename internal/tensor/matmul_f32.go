@@ -1,17 +1,9 @@
-// Float32 matrix-multiply kernels for the reduced-precision inference
-// tier.
+// The float32 row bodies of the matmul kernels (matmul.go dispatches
+// to them when E is float32).
 //
-// These follow the float64 kernels' structure exactly — a cache-blocked
-// inner kernel over a contiguous range of output rows, and a dispatcher
-// that runs it serially below serialFlops or shards output rows across
-// the worker pool — so they inherit the same bitwise guarantee WITHIN
-// the f32 tier: every output element is accumulated in the same order
-// no matter how rows are sharded, and tests assert serial == sharded
-// with eps = 0.
-//
-// Two deliberate differences from the float64 kernels, both because
-// this tier serves dense post-projection activations rather than
-// sparse one-hot feature rows:
+// They differ from the float64 bodies in two deliberate ways, both
+// because this tier serves dense post-projection activations rather
+// than sparse one-hot feature rows:
 //
 //   - no zero-skip: the `if av == 0` branch pays off on sparse A but
 //     is pure overhead (and a per-element unpredictable branch) on the
@@ -20,8 +12,7 @@
 //     (full-slice expressions re-sliced to a constant 4 length) and
 //     4x-unrolled accumulation, which is what "vectorization-friendly"
 //     means under gc — the compiler does not auto-SIMD, so the win is
-//     eliminated bounds checks plus four independent dependency chains
-//     keeping the FMA ports busy.
+//     eliminated bounds checks plus four independent dependency chains.
 //
 // The j-unrolled axpy updates each output element exactly once per l,
 // so the per-element k-accumulation order is still ascending l — the
@@ -30,51 +21,7 @@
 // is part of the f32 kernel definition and identical on every path.
 package tensor
 
-import (
-	"fmt"
-
-	"mtmlf/internal/parallel"
-)
-
-// MatMulF32 returns a @ b for f32 matrices a [m,k] and b [k,n].
-func MatMulF32(a, b *F32) *F32 {
-	a.mustMatrix()
-	b.mustMatrix()
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulF32 inner dim mismatch %v @ %v", a.Shape, b.Shape))
-	}
-	out := NewF32(m, n)
-	matMulF32Into(a.Data, b.Data, out.Data, m, k, n)
-	return out
-}
-
-// MatMulF32Into computes out = a @ b. out must be [m,n] and zeroed
-// (the kernel accumulates); PoolF32.Get satisfies both. out must not
-// alias a or b.
-func MatMulF32Into(a, b, out *F32) {
-	a.mustMatrix()
-	b.mustMatrix()
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 || out.Shape[0] != m || out.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulF32Into %v @ %v -> %v", a.Shape, b.Shape, out.Shape))
-	}
-	matMulF32Into(a.Data, b.Data, out.Data, m, k, n)
-}
-
-func matMulF32Into(a, b, out []float32, m, k, n int) {
-	if m*k*n < serialFlops {
-		matMulF32Rows(a, b, out, k, n, 0, m)
-		return
-	}
-	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
-		matMulF32Rows(a, b, out, k, n, i0, i1)
-	})
-}
-
-// matMulF32Rows computes output rows [i0, i1) of a @ b, k-blocked so
+// matMulRows32 computes output rows [i0, i1) of a @ b, k-blocked so
 // the active B slab stays cache-resident. The axpy update is unrolled
 // 4-deep over l and 4-wide over j: four B rows stream at once, so each
 // output element is loaded and stored once per four l's instead of
@@ -85,7 +32,7 @@ func matMulF32Into(a, b, out []float32, m, k, n int) {
 // receives its four contributions as a chained sum in ascending-l
 // order, the same sequence the one-l-at-a-time axpy produces — so the
 // bitwise within-tier contract is preserved.
-func matMulF32Rows(a, b, out []float32, k, n, i0, i1 int) {
+func matMulRows32(a, b, out []float32, k, n, i0, i1 int) {
 	for l0 := 0; l0 < k; l0 += kcBlock {
 		l1 := l0 + kcBlock
 		if l1 > k {
@@ -157,50 +104,11 @@ func matMulF32Rows(a, b, out []float32, k, n, i0, i1 int) {
 	}
 }
 
-// MatMulTransBF32 returns a @ b^T for a [m,k], b [n,k] without
-// materializing the transpose.
-func MatMulTransBF32(a, b *F32) *F32 {
-	a.mustMatrix()
-	b.mustMatrix()
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransBF32 inner dim mismatch %v @ %v^T", a.Shape, b.Shape))
-	}
-	out := NewF32(m, n)
-	matMulTransBF32Into(a.Data, b.Data, out.Data, m, k, n)
-	return out
-}
-
-// MatMulTransBF32Into computes out = a @ b^T for a [m,k], b [n,k].
-// out must be [m,n] and must not alias the inputs (no zeroing needed:
-// the kernel overwrites).
-func MatMulTransBF32Into(a, b, out *F32) {
-	a.mustMatrix()
-	b.mustMatrix()
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 || out.Shape[0] != m || out.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBF32Into %v @ %v^T -> %v", a.Shape, b.Shape, out.Shape))
-	}
-	matMulTransBF32Into(a.Data, b.Data, out.Data, m, k, n)
-}
-
-func matMulTransBF32Into(a, b, out []float32, m, k, n int) {
-	if m*k*n < serialFlops {
-		matMulTransBF32Rows(a, b, out, k, n, 0, m)
-		return
-	}
-	parallel.For(m, rowGrain(k*n), func(i0, i1 int) {
-		matMulTransBF32Rows(a, b, out, k, n, i0, i1)
-	})
-}
-
-// matMulTransBF32Rows computes output rows [i0, i1) of a @ b^T as dot
+// matMulTransBRows32 computes output rows [i0, i1) of a @ b^T as dot
 // products over jcBlock-row B slabs. Each dot runs four independent
 // partial sums over constant-length windows, reduced as
 // (s0+s1)+(s2+s3) — a fixed tree, identical on every shard.
-func matMulTransBF32Rows(a, b, out []float32, k, n, i0, i1 int) {
+func matMulTransBRows32(a, b, out []float32, k, n, i0, i1 int) {
 	for j0 := 0; j0 < n; j0 += jcBlock {
 		j1 := j0 + jcBlock
 		if j1 > n {
@@ -229,31 +137,4 @@ func matMulTransBF32Rows(a, b, out []float32, k, n, i0, i1 int) {
 			}
 		}
 	}
-}
-
-// MatMulF32BatchInto computes outs[i] = as[i] @ bs[i] for every triple
-// on the worker pool. Each outs[i] must be zeroed (the kernel
-// accumulates).
-func MatMulF32BatchInto(as, bs, outs []*F32) {
-	if len(as) != len(bs) || len(as) != len(outs) {
-		panic(fmt.Sprintf("tensor: MatMulF32BatchInto length mismatch %d/%d/%d", len(as), len(bs), len(outs)))
-	}
-	parallel.For(len(as), 1, func(s, e int) {
-		for i := s; i < e; i++ {
-			MatMulF32Into(as[i], bs[i], outs[i])
-		}
-	})
-}
-
-// MatMulTransBF32BatchInto computes outs[i] = as[i] @ bs[i]^T for
-// every triple on the worker pool.
-func MatMulTransBF32BatchInto(as, bs, outs []*F32) {
-	if len(as) != len(bs) || len(as) != len(outs) {
-		panic(fmt.Sprintf("tensor: MatMulTransBF32BatchInto length mismatch %d/%d/%d", len(as), len(bs), len(outs)))
-	}
-	parallel.For(len(as), 1, func(s, e int) {
-		for i := s; i < e; i++ {
-			MatMulTransBF32Into(as[i], bs[i], outs[i])
-		}
-	})
 }

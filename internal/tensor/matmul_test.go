@@ -7,12 +7,12 @@ import (
 )
 
 // refMatMul is the straightforward (i, l, j) kernel the seed shipped
-// with — the reference the blocked/parallel kernels must match
-// bitwise (identical per-element accumulation order).
-func refMatMul(a, b *Tensor) *Tensor {
+// with — the reference the blocked/unrolled/parallel kernels of both
+// tiers must match bitwise (identical per-element accumulation order).
+func refMatMul[E Float](a, b *Dense[E]) *Dense[E] {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
-	out := New(m, n)
+	out := NewDense[E](m, n)
 	for i := 0; i < m; i++ {
 		for l := 0; l < k; l++ {
 			av := a.Data[i*k+l]
@@ -46,15 +46,32 @@ func randPair(rng *rand.Rand, m, k, n int) (*Tensor, *Tensor) {
 	return RandNorm(rng, m, k, 1), RandNorm(rng, k, n, 1)
 }
 
-func TestMatMulParallelMatchesSerialBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+// randDense draws an N(0, 1) [m, n] matrix rounded to E.
+func randDense[E Float](rng *rand.Rand, m, n int) *Dense[E] {
+	return As[E](RandNorm(rng, m, n, 1))
+}
+
+// atParallelism runs f with the worker pool at n, restoring the
+// default afterwards.
+func atParallelism[E Float](n int, f func() *Dense[E]) *Dense[E] {
+	SetParallelism(n)
+	defer SetParallelism(0)
+	return f()
+}
+
+// checkMatMulBitwise asserts the E matmul kernel is bitwise identical
+// serial vs sharded, and to the unblocked reference, on every shape.
+func checkMatMulBitwise[E Float](t *testing.T, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	for _, sh := range shapes {
-		a, b := randPair(rng, sh.m, sh.k, sh.n)
-		SetParallelism(1)
-		serial := MatMul(a, b)
-		SetParallelism(8)
-		par := MatMul(a, b)
-		SetParallelism(0)
+		a, b := randDense[E](rng, sh.m, sh.k), randDense[E](rng, sh.k, sh.n)
+		mm := func() *Dense[E] {
+			out := NewDense[E](sh.m, sh.n)
+			MatMulInto(a, b, out)
+			return out
+		}
+		serial, par := atParallelism(1, mm), atParallelism(8, mm)
 		if !Equal(serial, par, 0) {
 			t.Fatalf("[%dx%d @ %dx%d] parallel result differs from serial", sh.m, sh.k, sh.k, sh.n)
 		}
@@ -64,24 +81,47 @@ func TestMatMulParallelMatchesSerialBitwise(t *testing.T) {
 	}
 }
 
-func TestMatMulTransBParallelMatchesSerialBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+// checkMatMulTransBBitwise asserts the E transposed-B kernel is
+// bitwise identical serial vs sharded on every shape; ref, when
+// non-nil, is a reference it must also match exactly.
+func checkMatMulTransBBitwise[E Float](t *testing.T, seed int64, ref func(a, b *Dense[E]) *Dense[E]) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	for _, sh := range shapes {
-		a := RandNorm(rng, sh.m, sh.k, 1)
-		b := RandNorm(rng, sh.n, sh.k, 1)
-		SetParallelism(1)
-		serial := MatMulTransB(a, b)
-		SetParallelism(8)
-		par := MatMulTransB(a, b)
-		SetParallelism(0)
+		a, b := randDense[E](rng, sh.m, sh.k), randDense[E](rng, sh.n, sh.k)
+		mm := func() *Dense[E] {
+			out := NewDense[E](sh.m, sh.n)
+			MatMulTransBInto(a, b, out)
+			return out
+		}
+		serial, par := atParallelism(1, mm), atParallelism(8, mm)
 		if !Equal(serial, par, 0) {
 			t.Fatalf("[%dx%d @ (%dx%d)^T] parallel result differs from serial", sh.m, sh.k, sh.n, sh.k)
 		}
-		// Dot-product kernels share the ascending-l accumulation order
-		// with the reference, so this too is exact.
-		if !Equal(serial, refMatMulTransB(a, b), 0) {
+		if ref != nil && !Equal(serial, ref(a, b), 0) {
 			t.Fatalf("[%dx%d @ (%dx%d)^T] kernel differs from reference", sh.m, sh.k, sh.n, sh.k)
 		}
+	}
+}
+
+func TestMatMulParallelMatchesSerialBitwise(t *testing.T) {
+	checkMatMulBitwise[float64](t, 1)
+	// The allocating training kernel is the same dispatch.
+	rng := rand.New(rand.NewSource(1))
+	a, b := randPair(rng, 130, 140, 150)
+	if !Equal(MatMul(a, b), refMatMul(a, b), 0) {
+		t.Fatal("MatMul differs from reference")
+	}
+}
+
+func TestMatMulTransBParallelMatchesSerialBitwise(t *testing.T) {
+	// The f64 dot product sums in ascending l like the reference, so
+	// this too is exact (the f32 body's fixed tree is not).
+	checkMatMulTransBBitwise(t, 2, refMatMulTransB)
+	rng := rand.New(rand.NewSource(2))
+	a, b := RandNorm(rng, 130, 140, 1), RandNorm(rng, 150, 140, 1)
+	if !Equal(MatMulTransB(a, b), refMatMulTransB(a, b), 0) {
+		t.Fatal("MatMulTransB differs from reference")
 	}
 }
 

@@ -7,13 +7,16 @@
 // populated each size class) a forward pass served from a Pool
 // allocates nothing.
 //
+// A Pool hands out tensors of one element type; each inference
+// session (ag.Session[E]) owns a Pool[E].
+//
 // Ownership rules (see README "Inference path"):
 //
 //   - A pooled tensor is valid from its Get until the next Reset of
 //     the pool that produced it. Nothing that must outlive the Reset
 //     may point into a pooled tensor — copy it out (Clone) first.
 //   - Pools are NOT safe for concurrent use. Each inference session
-//     (one ag.Eval) owns one Pool; concurrent sessions get their own.
+//     owns one Pool; concurrent sessions get their own.
 //     DESIGN.md "Session ownership" records the full lifetime rules
 //     the serving layer builds on.
 package tensor
@@ -36,10 +39,10 @@ func PoolCounters() (gets, allocs uint64) {
 	return poolGets.Load(), poolAllocs.Load()
 }
 
-// Pool is a size-indexed tensor arena. The zero value is not usable;
-// construct with NewPool.
-type Pool struct {
-	classes map[int]*poolClass
+// Pool is a size-indexed arena of E tensors. The zero value is not
+// usable; construct with NewPool.
+type Pool[E Float] struct {
+	classes map[int]*poolClass[E]
 	// live counts Gets since the last Reset (exported via Live for
 	// tests and leak diagnostics).
 	live int
@@ -47,20 +50,20 @@ type Pool struct {
 
 // poolClass is the arena for one element count: bufs[:next] are handed
 // out, bufs[next:] are free.
-type poolClass struct {
-	bufs []*Tensor
+type poolClass[E Float] struct {
+	bufs []*Dense[E]
 	next int
 }
 
 // NewPool creates an empty pool.
-func NewPool() *Pool {
-	return &Pool{classes: map[int]*poolClass{}}
+func NewPool[E Float]() *Pool[E] {
+	return &Pool[E]{classes: map[int]*poolClass[E]{}}
 }
 
 // Get returns a zeroed tensor of the given shape, reusing a free
 // buffer of the same element count when one exists. The tensor is
 // owned by the pool: it becomes invalid at the next Reset.
-func (p *Pool) Get(shape ...int) *Tensor {
+func (p *Pool[E]) Get(shape ...int) *Dense[E] {
 	t, reused := p.get(shape)
 	if reused {
 		for i := range t.Data {
@@ -75,14 +78,14 @@ func (p *Pool) Get(shape ...int) *Tensor {
 // that overwrite every element before reading any (all the Into
 // kernels except the accumulating matmuls qualify) — it saves one
 // full memory walk per op on the hot serving path.
-func (p *Pool) GetUninit(shape ...int) *Tensor {
+func (p *Pool[E]) GetUninit(shape ...int) *Dense[E] {
 	t, _ := p.get(shape)
 	return t
 }
 
 // get hands out a buffer and reports whether it was reused (and so
 // may hold stale data).
-func (p *Pool) get(shape []int) (t *Tensor, reused bool) {
+func (p *Pool[E]) get(shape []int) (t *Dense[E], reused bool) {
 	n := 1
 	for _, s := range shape {
 		if s < 0 {
@@ -94,7 +97,7 @@ func (p *Pool) get(shape []int) (t *Tensor, reused bool) {
 	poolGets.Add(1)
 	c := p.classes[n]
 	if c == nil {
-		c = &poolClass{}
+		c = &poolClass[E]{}
 		p.classes[n] = c
 	}
 	if c.next < len(c.bufs) {
@@ -104,25 +107,15 @@ func (p *Pool) get(shape []int) (t *Tensor, reused bool) {
 		return t, true
 	}
 	poolAllocs.Add(1)
-	t = New(shape...)
+	t = NewDense[E](shape...)
 	c.bufs = append(c.bufs, t)
 	c.next++
 	return t, false
 }
 
-// setShape points t at a new shape without allocating when the rank
-// matches the previous use of the buffer.
-func (t *Tensor) setShape(shape []int) {
-	if len(t.Shape) == len(shape) {
-		copy(t.Shape, shape)
-		return
-	}
-	t.Shape = append([]int(nil), shape...)
-}
-
 // Reset returns every tensor handed out since the last Reset to the
 // free state. Previously returned tensors must no longer be used.
-func (p *Pool) Reset() {
+func (p *Pool[E]) Reset() {
 	for _, c := range p.classes {
 		c.next = 0
 	}
@@ -130,4 +123,4 @@ func (p *Pool) Reset() {
 }
 
 // Live reports how many tensors are currently handed out.
-func (p *Pool) Live() int { return p.live }
+func (p *Pool[E]) Live() int { return p.live }

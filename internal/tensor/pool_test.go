@@ -5,14 +5,18 @@ import (
 	"testing"
 )
 
-func TestPoolReuseAndZeroing(t *testing.T) {
-	p := NewPool()
+// checkPoolReuse asserts a Pool[E] never hands out a live buffer
+// twice, reuses freed buffers across shapes of the same size, zeroes
+// them on Get, and counts live tensors.
+func checkPoolReuse[E Float](t *testing.T) {
+	t.Helper()
+	p := NewPool[E]()
 	a := p.Get(3, 4)
 	if a.Rows() != 3 || a.Cols() != 4 {
 		t.Fatalf("shape %v", a.Shape)
 	}
 	for i := range a.Data {
-		a.Data[i] = float64(i + 1)
+		a.Data[i] = E(i + 1)
 	}
 	b := p.Get(3, 4) // distinct buffer: a is still live
 	if &a.Data[0] == &b.Data[0] {
@@ -31,13 +35,22 @@ func TestPoolReuseAndZeroing(t *testing.T) {
 	}
 	for i, v := range c.Data {
 		if v != 0 {
-			t.Fatalf("reused buffer not zeroed at %d: %g", i, v)
+			t.Fatalf("reused buffer not zeroed at %d: %g", i, float64(v))
 		}
+	}
+	_ = p.GetUninit(4, 3)
+	if p.Live() != 2 {
+		t.Fatalf("live = %d after GetUninit, want 2", p.Live())
 	}
 }
 
-func TestPoolSteadyStateAllocs(t *testing.T) {
-	p := NewPool()
+func TestPoolReuseAndZeroing(t *testing.T) { checkPoolReuse[float64](t) }
+
+// checkPoolSteadyStateAllocs asserts a warm Pool[E] Get/Reset cycle
+// allocates nothing.
+func checkPoolSteadyStateAllocs[E Float](t *testing.T) {
+	t.Helper()
+	p := NewPool[E]()
 	warm := func() {
 		for _, sh := range [][2]int{{4, 8}, {8, 8}, {1, 16}} {
 			x := p.Get(sh[0], sh[1])
@@ -50,6 +63,11 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("steady-state pool cycle allocates %.1f times", allocs)
 	}
+}
+
+func TestPoolSteadyStateAllocs(t *testing.T) {
+	checkPoolSteadyStateAllocs[float64](t)
+	checkPoolSteadyStateAllocs[float32](t)
 }
 
 // TestIntoKernelsMatchAllocating asserts every Into kernel is bitwise
@@ -117,17 +135,18 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 	_ = beta
 }
 
-// TestLayerNormAndActIntoKernels covers the normalization and
-// activation Into kernels separately (their references are computed
-// against the ag forward formulas in the ag package tests; here we
-// only check aliasing and shape behavior plus determinism).
-func TestLayerNormAndActIntoKernels(t *testing.T) {
+// checkIntoAliasing asserts the normalization and activation Into
+// kernels at E give the same result into a fresh destination and in
+// place (their references are computed against the ag forward
+// formulas in the ag package tests).
+func checkIntoAliasing[E Float](t *testing.T) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(8))
-	a := Rand(rng, 6, 10, 1)
-	gamma := Rand(rng, 1, 10, 1)
-	beta := Rand(rng, 1, 10, 1)
+	a := As[E](Rand(rng, 6, 10, 1))
+	gamma := As[E](Rand(rng, 1, 10, 1))
+	beta := As[E](Rand(rng, 1, 10, 1))
 
-	out1 := New(6, 10)
+	out1 := NewDense[E](6, 10)
 	LayerNormRowsInto(a, gamma, beta, 1e-5, out1)
 	aliased := a.Clone()
 	LayerNormRowsInto(aliased, gamma, beta, 1e-5, aliased)
@@ -135,18 +154,26 @@ func TestLayerNormAndActIntoKernels(t *testing.T) {
 		t.Fatal("LayerNormRowsInto aliased result differs")
 	}
 
-	for name, f := range map[string]func(a, out *Tensor){
-		"ReLUInto":    ReLUInto,
-		"GELUInto":    GELUInto,
-		"TanhInto":    TanhInto,
-		"SigmoidInto": SigmoidInto,
+	for _, k := range []struct {
+		name string
+		f    func(a, out *Dense[E])
+	}{
+		{"ReLUInto", ReLUInto[E]},
+		{"GELUInto", GELUInto[E]},
+		{"TanhInto", TanhInto[E]},
+		{"SigmoidInto", SigmoidInto[E]},
 	} {
-		fresh := New(6, 10)
-		f(a, fresh)
+		fresh := NewDense[E](6, 10)
+		k.f(a, fresh)
 		al := a.Clone()
-		f(al, al)
+		k.f(al, al)
 		if !Equal(fresh, al, 0) {
-			t.Fatalf("%s aliased result differs", name)
+			t.Fatalf("%s aliased result differs", k.name)
 		}
 	}
+}
+
+func TestLayerNormAndActIntoKernels(t *testing.T) {
+	checkIntoAliasing[float64](t)
+	checkIntoAliasing[float32](t)
 }

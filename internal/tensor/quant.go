@@ -132,7 +132,7 @@ func QuantizeRowInt8(row []float32, q []int8) float32 {
 // In=k weights each): each activation row is quantized dynamically,
 // products accumulate in int32, and dequantization is fused into the
 // bias add. qbuf is caller-provided scratch of at least m*k bytes
-// (ag.EvalF32 owns one per session, keeping the steady state
+// (each float32 ag.Session owns one, keeping the steady state
 // allocation-free); shards write disjoint row ranges of it.
 func MatMulInt8Into(a *F32, w *Int8Matrix, bias, out *F32, qbuf []int8) {
 	m, k := a.Rows(), a.Cols()

@@ -1,7 +1,18 @@
-// Package tensor provides dense float64 matrices and the raw numeric
+// Package tensor provides dense row-major matrices and the raw numeric
 // kernels used by the autodiff engine in internal/ag. It is the lowest
 // layer of the deep-learning substrate that substitutes for PyTorch in
 // this reproduction (see DESIGN.md, substitution table).
+//
+// Dense[E] is generic over the element type E (float32 or float64).
+// Tensor is Dense[float64], the type training, gradients and
+// checkpoints use end to end; F32 is Dense[float32], the activation
+// type of the reduced-precision serving tiers. The no-grad kernels
+// (the Into family in inplace.go, the pooled arena in pool.go) are
+// written once over E. float32 and float64 have different GC shapes,
+// so gc compiles one body per element type and no arithmetic is
+// dispatched through a dictionary. Only the matmul row bodies branch
+// on E (matmul.go explains why); the int8 kernel (quant.go) takes
+// float32 activations only.
 //
 // Tensors are row-major. Almost all of the model code works with rank-2
 // tensors (matrices); vectors are represented as 1xN matrices.
@@ -17,19 +28,34 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"unsafe"
 )
 
-// Tensor is a dense row-major float64 tensor. The zero value is not
-// usable; construct tensors with New, Zeros, FromSlice, or Rand.
-type Tensor struct {
+// Float is the element-type constraint of Dense: the two precisions
+// the substrate computes in.
+type Float interface {
+	float32 | float64
+}
+
+// Dense is a dense row-major tensor of E. The zero value is not
+// usable; construct tensors with New, NewDense, FromSlice, Rand, As,
+// or a Pool.
+type Dense[E Float] struct {
 	// Data holds the elements in row-major order.
-	Data []float64
+	Data []E
 	// Shape holds the extent of each dimension.
 	Shape []int
 }
 
-// New creates a zero-initialized tensor with the given shape.
-func New(shape ...int) *Tensor {
+// Tensor is the float64 tensor of training, gradients and the
+// reference serving tier.
+type Tensor = Dense[float64]
+
+// F32 is the float32 tensor of the reduced-precision serving tiers.
+type F32 = Dense[float32]
+
+// NewDense creates a zero-initialized tensor of E with the given shape.
+func NewDense[E Float](shape ...int) *Dense[E] {
 	n := 1
 	for _, s := range shape {
 		if s < 0 {
@@ -39,8 +65,38 @@ func New(shape ...int) *Tensor {
 	}
 	sh := make([]int, len(shape))
 	copy(sh, shape)
-	return &Tensor{Data: make([]float64, n), Shape: sh}
+	return &Dense[E]{Data: make([]E, n), Shape: sh}
 }
+
+// As returns t with element type E: t itself when E is float64 (no
+// copy — a float64 view shares the trained weights), otherwise a copy
+// rounded to nearest, ties to even.
+func As[E Float](t *Tensor) *Dense[E] {
+	if same, ok := any(t).(*Dense[E]); ok {
+		return same
+	}
+	out := NewDense[E](t.Shape...)
+	for i, v := range t.Data {
+		out.Data[i] = E(v)
+	}
+	return out
+}
+
+// ToTensor returns t as float64: t itself when E is float64 (no copy),
+// otherwise a widened copy (exact: every float32 is a float64).
+func (t *Dense[E]) ToTensor() *Tensor {
+	if same, ok := any(t).(*Tensor); ok {
+		return same
+	}
+	out := New(t.Shape...)
+	for i, v := range t.Data {
+		out.Data[i] = float64(v)
+	}
+	return out
+}
+
+// New creates a zero-initialized float64 tensor with the given shape.
+func New(shape ...int) *Tensor { return NewDense[float64](shape...) }
 
 // Zeros is an alias of New, provided for readability at call sites.
 func Zeros(shape ...int) *Tensor { return New(shape...) }
@@ -110,48 +166,48 @@ func Xavier(rng *rand.Rand, rows, cols int) *Tensor {
 }
 
 // Rows returns the first dimension extent (panics if not a matrix).
-func (t *Tensor) Rows() int { t.mustMatrix(); return t.Shape[0] }
+func (t *Dense[E]) Rows() int { t.mustMatrix(); return t.Shape[0] }
 
 // Cols returns the second dimension extent (panics if not a matrix).
-func (t *Tensor) Cols() int { t.mustMatrix(); return t.Shape[1] }
+func (t *Dense[E]) Cols() int { t.mustMatrix(); return t.Shape[1] }
 
 // Size returns the total number of elements.
-func (t *Tensor) Size() int { return len(t.Data) }
+func (t *Dense[E]) Size() int { return len(t.Data) }
 
-func (t *Tensor) mustMatrix() {
+func (t *Dense[E]) mustMatrix() {
 	if len(t.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: expected matrix, got shape %v", t.Shape))
 	}
 }
 
 // At returns element (i, j) of a matrix.
-func (t *Tensor) At(i, j int) float64 {
+func (t *Dense[E]) At(i, j int) E {
 	t.mustMatrix()
 	return t.Data[i*t.Shape[1]+j]
 }
 
 // Set assigns element (i, j) of a matrix.
-func (t *Tensor) Set(i, j int, v float64) {
+func (t *Dense[E]) Set(i, j int, v E) {
 	t.mustMatrix()
 	t.Data[i*t.Shape[1]+j] = v
 }
 
 // Row returns a view (not a copy) of row i of a matrix.
-func (t *Tensor) Row(i int) []float64 {
+func (t *Dense[E]) Row(i int) []E {
 	t.mustMatrix()
 	c := t.Shape[1]
 	return t.Data[i*c : (i+1)*c]
 }
 
 // Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	out := New(t.Shape...)
+func (t *Dense[E]) Clone() *Dense[E] {
+	out := NewDense[E](t.Shape...)
 	copy(out.Data, t.Data)
 	return out
 }
 
 // SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
+func (t *Dense[E]) SameShape(o *Dense[E]) bool {
 	if len(t.Shape) != len(o.Shape) {
 		return false
 	}
@@ -164,17 +220,17 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 }
 
 // Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
+func (t *Dense[E]) Fill(v E) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
 }
 
 // Zero sets every element to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
+func (t *Dense[E]) Zero() { t.Fill(0) }
 
 // AddInPlace accumulates o into t elementwise.
-func (t *Tensor) AddInPlace(o *Tensor) {
+func (t *Dense[E]) AddInPlace(o *Dense[E]) {
 	if !t.SameShape(o) {
 		panic(fmt.Sprintf("tensor: AddInPlace shape mismatch %v vs %v", t.Shape, o.Shape))
 	}
@@ -184,7 +240,7 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 }
 
 // ScaleInPlace multiplies every element by s.
-func (t *Tensor) ScaleInPlace(s float64) {
+func (t *Dense[E]) ScaleInPlace(s E) {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
@@ -285,42 +341,20 @@ func SumRows(a *Tensor) *Tensor {
 // SoftmaxRows applies a numerically stable softmax independently to
 // each row of a matrix.
 func SoftmaxRows(a *Tensor) *Tensor {
-	a.mustMatrix()
-	m, n := a.Shape[0], a.Shape[1]
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		orow := out.Data[i*n : (i+1)*n]
-		mx := math.Inf(-1)
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		var z float64
-		for j, v := range row {
-			e := math.Exp(v - mx)
-			orow[j] = e
-			z += e
-		}
-		if z == 0 {
-			z = 1
-		}
-		for j := range orow {
-			orow[j] /= z
-		}
-	}
+	out := New(a.Shape...)
+	SoftmaxRowsInto(a, out)
 	return out
 }
 
 // Equal reports whether two tensors have identical shape and all
-// elements within eps of each other.
-func Equal(a, b *Tensor, eps float64) bool {
+// elements within eps of each other (eps = 0 asserts bitwise
+// equality, the within-tier contract).
+func Equal[E Float](a, b *Dense[E], eps float64) bool {
 	if !a.SameShape(b) {
 		return false
 	}
 	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > eps {
+		if math.Abs(float64(a.Data[i])-float64(b.Data[i])) > eps {
 			return false
 		}
 	}
@@ -328,7 +362,7 @@ func Equal(a, b *Tensor, eps float64) bool {
 }
 
 // String renders small tensors for debugging.
-func (t *Tensor) String() string {
+func (t *Dense[E]) String() string {
 	if len(t.Shape) == 2 {
 		var b strings.Builder
 		fmt.Fprintf(&b, "Tensor[%dx%d]", t.Shape[0], t.Shape[1])
@@ -354,11 +388,27 @@ func (t *Tensor) String() string {
 
 // HasNaN reports whether any element is NaN or Inf. Training loops use
 // this as a cheap sanity guard.
-func (t *Tensor) HasNaN() bool {
+func (t *Dense[E]) HasNaN() bool {
 	for _, v := range t.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			return true
 		}
 	}
 	return false
+}
+
+// Bytes returns the resident size of the tensor's payload in bytes.
+func (t *Dense[E]) Bytes() int {
+	var z E
+	return len(t.Data) * int(unsafe.Sizeof(z))
+}
+
+// setShape points t at a new shape without allocating when the rank
+// matches the previous use of the buffer (Pool's shape plumbing).
+func (t *Dense[E]) setShape(shape []int) {
+	if len(t.Shape) == len(shape) {
+		copy(t.Shape, shape)
+		return
+	}
+	t.Shape = append([]int(nil), shape...)
 }
