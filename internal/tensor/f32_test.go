@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+func TestMatMulF32MatchesReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, sh := range shapes {
+		a, b := randDense[float32](rng, sh.m, sh.k), randDense[float32](rng, sh.k, sh.n)
+		out := NewDense[float32](sh.m, sh.n)
+		MatMulInto(a, b, out)
+		if !Equal(out, refMatMul(a, b), 0) {
+			t.Fatalf("[%dx%d @ %dx%d] blocked f32 kernel differs from reference", sh.m, sh.k, sh.k, sh.n)
+		}
+	}
+}
+
 func TestMatMulF32ParallelMatchesSerialBitwise(t *testing.T) {
 	checkMatMulBitwise[float32](t, 2)
 }
